@@ -73,7 +73,6 @@ KEYSPECS: dict[str, dict] = {
         "force_y_n": (0.0, float),
         "force_z_n": (0.0, float),
         "store_every": (1, int),
-        "seed": (0, int),
     },
     "stability-scan": {
         "q_min": (0.0, float),
@@ -81,7 +80,6 @@ KEYSPECS: dict[str, dict] = {
         "a": (0.0, float),
         "n_scan": (31, int),
         "tol": (1e-4, float),
-        "seed": (0, int),
     },
     "ramp-infer": {
         **_PARTICLE_KEYS, **_TRAP_KEYS,
@@ -89,7 +87,6 @@ KEYSPECS: dict[str, dict] = {
         "omega_end_hz": (2000.0, float),
         "ramp_rate_hz_s": (0.0, float),       # 0 -> auto (0.2% of drive per secular period)
         "seed_displacement_m": (0.0, float),  # 0 -> auto (z0 / 2)
-        "seed": (0, int),
     },
     "radiation": {
         **_PARTICLE_KEYS,
@@ -97,7 +94,6 @@ KEYSPECS: dict[str, dict] = {
         "reflection_coeff": (0.2, float),
         "half_aperture_rad": (0.8788, float),
         "omega_x_hz": (1000.0, float),
-        "seed": (0, int),
     },
     "angular-sim": {
         "omega_alpha_hz": (50.0, float),
@@ -107,7 +103,6 @@ KEYSPECS: dict[str, dict] = {
         "t_end_s": (0.4, float),
         "dt_s": (1e-6, float),
         "store_every": (5, int),
-        "seed": (0, int),
     },
     "esr-forward": {
         "theta_deg": (63.434948822922, float),
@@ -118,7 +113,6 @@ KEYSPECS: dict[str, dict] = {
         "grid_min_hz": (0.0, float),   # 0 -> auto from the dip span
         "grid_max_hz": (0.0, float),
         "grid_points": (40001, int),
-        "seed": (0, int),
     },
     "esr-broadened": {
         "theta_deg": (45.0, float),
@@ -134,7 +128,6 @@ KEYSPECS: dict[str, dict] = {
         "grid_points": (40001, int),
         "n_cells": (400, int),
         "threshold": (0.0, float),     # 0 -> auto (half the maximum dip depth)
-        "seed": (0, int),
     },
     "esr-solve": {
         "input": (_REQUIRED, str),
@@ -142,7 +135,6 @@ KEYSPECS: dict[str, dict] = {
         "spacing_tolerance": (0.05, float),
         "residual_threshold_hz": (30e6, float),
         "b_fixed_gauss": (0.0, float),  # 0 -> field is a free fit parameter
-        "seed": (0, int),
     },
     "esr-compare": {
         "input_before": (_REQUIRED, str),
@@ -150,7 +142,6 @@ KEYSPECS: dict[str, dict] = {
         "b_gauss": (_REQUIRED, float),
         **_DETECT_KEYS,
         "spacing_tolerance": (0.05, float),
-        "seed": (0, int),
     },
 }
 
@@ -199,6 +190,8 @@ def _resolve(subcommand: str, file_values: dict[str, str],
             merged[key] = typ(raw)
         except (TypeError, ValueError):
             raise ConfigError(f"key '{key}': cannot parse '{raw}' as {typ.__name__}") from None
+        if typ is float and not math.isfinite(merged[key]):
+            raise ConfigError(f"key '{key}': value must be finite, got '{raw}'")
     return merged
 
 

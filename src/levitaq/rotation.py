@@ -118,14 +118,16 @@ def integrate_angle(params: AngularTrapParams, initial: AngularState,
     """Integrate the driven tilt equation with fixed-step RK4.
 
     Flags "angular escape" (and stops) when a run started near the alpha = 0
-    fixed point grows past pi/2.  Requires dt <= 2 pi / (200 Omega).
+    fixed point grows past pi/2.  Requires 0 < dt <= 2 pi / (200 Omega).
     """
     om = params.drive_freq
+    if not (dt > 0.0):
+        raise ValueError("dt must be > 0")
     dt_max = 2.0 * math.pi / (MIN_STEPS_PER_DRIVE_PERIOD * om)
     if dt > dt_max:
         raise ValueError(f"dt too large: {dt:g} s exceeds drive-resolution limit {dt_max:g} s")
-    if t_end <= 0.0:
-        raise ValueError("t_end must be > 0")
+    if not (0.0 < t_end < math.inf):
+        raise ValueError("t_end must be finite and > 0")
     if store_every < 1:
         raise ValueError("store_every must be >= 1")
 

@@ -126,16 +126,13 @@ def _spherical_angles(bhat: np.ndarray) -> tuple[float, float]:
 
 def _orientation_class(theta: float, phi: float) -> tuple[list[tuple[float, float]], bool]:
     """All (theta, phi) giving an identical dip set, via the signed coordinate
-    permutations of the crystal frame, verified against the projection sets."""
-    axes = nv_axes()
+    permutations of the crystal frame, each of which preserves the set of
+    |projections| onto the defect axes."""
     bhat = FieldOrientation(b_gauss=1.0, theta=theta, phi=phi).unit_vector()
-    ref = np.sort(np.abs(axes @ bhat))
     members = {}
     continuous = False
     for mat in _signed_permutations():
         b2 = mat @ bhat
-        if not np.allclose(np.sort(np.abs(axes @ b2)), ref, rtol=0.0, atol=1e-9):
-            continue  # defensive; signed permutations always preserve the set
         th2, ph2 = _spherical_angles(b2)
         if math.sin(ph2) < 1e-9:
             continuous = True

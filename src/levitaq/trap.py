@@ -14,6 +14,13 @@ and the standard single-parameter drive strength q = 2*sqrt(2)*omega_z/Omega.
 The q = 0.908 instability threshold is not hard-coded into the integrator; a
 monodromy-matrix analysis of the parametric equation recovers it and serves
 as the stability oracle for the simulation-level operations.
+
+All three integrators here -- the Floquet monodromy, the trajectory and the
+frequency ramp -- solve a linear ODE with time-dependent stiffness, so they
+share one propagator: each fixed RK4 step is a 3x3 transfer matrix on
+(u, u', f), built for a block of steps at once.  The monodromy is the ordered
+product of a period's step matrices; trajectories and ramps take prefix
+products within each block and check for escape per block.
 """
 
 from __future__ import annotations
@@ -34,6 +41,8 @@ STABILITY_Q_MAX = 0.908
 
 ESCAPE_RADIUS_FACTOR = 100.0  # escape flagged at |coordinate| > 100 * z0
 MIN_STEPS_PER_DRIVE_PERIOD = 200
+_BLOCK = 1024  # RK4 steps whose transfer matrices are built and composed at once
+_STAGES = np.array([[0.0], [0.5], [1.0]])  # step fractions where RK4 samples the stiffness
 
 
 @dataclass(frozen=True)
@@ -149,6 +158,40 @@ class FloquetResult:
     trace: float  # trace of the one-period monodromy matrix
 
 
+def _rk4_transfer(k0, kh, k1, gamma: float, h: float) -> np.ndarray:
+    """Per-step RK4 transfer matrices of u'' = -k(t) u - gamma u' + f.
+
+    k0, kh and k1 hold the stiffness at the start, midpoint and end of each
+    step.  Matrix i maps (u, u', f) at the start of step i to its end; the
+    constant acceleration f rides along as the affine column.
+    """
+    def generator(k):
+        b = np.zeros(np.shape(k) + (3, 3))
+        b[..., 0, 1] = 1.0
+        b[..., 1, 0] = -k
+        b[..., 1, 1] = -gamma
+        b[..., 1, 2] = 1.0
+        return b
+
+    eye = np.eye(3)
+    bh = generator(kh)
+    s1 = generator(k0)
+    s2 = bh @ (eye + 0.5 * h * s1)
+    s3 = bh @ (eye + 0.5 * h * s2)
+    s4 = generator(k1) @ (eye + h * s3)
+    return eye + h / 6.0 * (s1 + 2.0 * s2 + 2.0 * s3 + s4)
+
+
+def _prefix_products(m: np.ndarray) -> np.ndarray:
+    """Inclusive ordered prefix products m[i] @ ... @ m[0] along the first axis."""
+    p = m.copy()
+    d = 1
+    while d < len(p):
+        p[d:] = p[d:] @ p[:-d]
+        d *= 2
+    return p
+
+
 def floquet_stability(a: float, q: float, rtol: float = 1e-9,
                       max_steps: int = 1 << 20) -> FloquetResult:
     """Stability of u'' + (a - 2 q cos 2 tau) u = 0 from its monodromy matrix.
@@ -162,27 +205,12 @@ def floquet_stability(a: float, q: float, rtol: float = 1e-9,
 
     def trace_for(n: int) -> float:
         h = math.pi / n
-        u1, w1, u2, w2 = 1.0, 0.0, 0.0, 1.0
-        cos = math.cos
-        for k in range(n):
-            tau = k * h
-            c0 = a - 2.0 * q * cos(2.0 * tau)
-            ch = a - 2.0 * q * cos(2.0 * tau + h)
-            c1 = a - 2.0 * q * cos(2.0 * tau + 2.0 * h)
-            # RK4 on (u, w), w = u'
-            k1u, k1w = w1, -c0 * u1
-            k2u, k2w = w1 + 0.5 * h * k1w, -ch * (u1 + 0.5 * h * k1u)
-            k3u, k3w = w1 + 0.5 * h * k2w, -ch * (u1 + 0.5 * h * k2u)
-            k4u, k4w = w1 + h * k3w, -c1 * (u1 + h * k3u)
-            u1 += h / 6.0 * (k1u + 2.0 * k2u + 2.0 * k3u + k4u)
-            w1 += h / 6.0 * (k1w + 2.0 * k2w + 2.0 * k3w + k4w)
-            k1u, k1w = w2, -c0 * u2
-            k2u, k2w = w2 + 0.5 * h * k1w, -ch * (u2 + 0.5 * h * k1u)
-            k3u, k3w = w2 + 0.5 * h * k2w, -ch * (u2 + 0.5 * h * k2u)
-            k4u, k4w = w2 + h * k3w, -c1 * (u2 + h * k3u)
-            u2 += h / 6.0 * (k1u + 2.0 * k2u + 2.0 * k3u + k4u)
-            w2 += h / 6.0 * (k1w + 2.0 * k2w + 2.0 * k3w + k4w)
-        return u1 + w2
+        mono = np.eye(3)
+        for k in range(0, n, _BLOCK):
+            tau = np.arange(k, min(k + _BLOCK, n)) * h
+            c = a - 2.0 * q * np.cos(2.0 * (tau + _STAGES * h))
+            mono = _prefix_products(_rk4_transfer(*c, 0.0, h))[-1] @ mono
+        return float(mono[0, 0] + mono[1, 1])
 
     n = 1024
     prev = trace_for(n)
@@ -217,17 +245,6 @@ def find_stability_boundary(a: float = 0.0, q_min: float = 0.0, q_max: float = 1
     return 0.5 * (lo + hi)
 
 
-def _sum_forces(forces) -> tuple[float, float, float]:
-    if forces is None:
-        return 0.0, 0.0, 0.0
-    fx = fy = fz = 0.0
-    for f in forces:
-        fx += float(f[0])
-        fy += float(f[1])
-        fz += float(f[2])
-    return fx, fy, fz
-
-
 def integrate_motion(trap: TrapConfig, p: Particle,
                      forces: Optional[Sequence[Sequence[float]]] = None,
                      t_end: float = 0.01, dt: float = 1e-6,
@@ -238,88 +255,57 @@ def integrate_motion(trap: TrapConfig, p: Particle,
 
     ``forces`` is a list of constant external force vectors (N).  Integration
     stops early with the escape flag set once any coordinate exceeds
-    100 * z0.  Requires dt <= 2 pi / (200 Omega) so the drive is resolved.
+    100 * z0.  Requires 0 < dt <= 2 pi / (200 Omega) so the drive is resolved.
     """
+    if not (dt > 0.0):
+        raise ValueError("dt must be > 0")
     dt_max = 2.0 * math.pi / (MIN_STEPS_PER_DRIVE_PERIOD * trap.drive_freq)
     if dt > dt_max:
         raise ValueError(f"dt too large: {dt:g} s exceeds drive-resolution limit {dt_max:g} s")
-    if t_end <= 0.0:
-        raise ValueError("t_end must be > 0")
+    if not (0.0 < t_end < math.inf):
+        raise ValueError("t_end must be finite and > 0")
     if store_every < 1:
         raise ValueError("store_every must be >= 1")
 
     m = particle_mass(p)
     cd = p.total_charge * trap.eta * trap.v_ac / (m * trap.z0 ** 2)  # drive accel / m
-    gam = trap.damping_gamma
-    fx, fy, fz = _sum_forces(forces)
-    aex, aey, aez = fx / m, fy / m, fz / m
     om = trap.drive_freq
     esc = ESCAPE_RADIUS_FACTOR * trap.z0
-
     n_steps = max(1, int(round(t_end / dt)))
-    x, y, z = float(x0[0]), float(x0[1]), float(x0[2])
-    vx, vy, vz = float(v0[0]), float(v0[1]), float(v0[2])
 
-    ts = [0.0]
-    pos = [(x, y, z)]
-    vel = [(vx, vy, vz)]
-    escaped = False
-    escape_time = None
-    cos = math.cos
+    # rows (position, velocity, external acceleration), columns (x, y, z)
+    state = np.zeros((3, 3))
+    state[0], state[1] = x0, v0
+    if forces is not None:
+        state[2] = np.asarray(forces, dtype=float).reshape(-1, 3).sum(axis=0) / m
+    steps_kept, states_kept = [np.zeros(1, dtype=np.int64)], [state[None, :2]]
+    escape_step = None
 
-    for k in range(n_steps):
-        t = k * dt
-        c0 = cd * cos(om * t)
-        ch = cd * cos(om * (t + 0.5 * dt))
-        c1 = cd * cos(om * (t + dt))
-
-        # stage 1
-        a1x = 0.5 * c0 * x - gam * vx + aex
-        a1y = 0.5 * c0 * y - gam * vy + aey
-        a1z = -c0 * z - gam * vz + aez
-        # stage 2
-        x2, y2, z2 = x + 0.5 * dt * vx, y + 0.5 * dt * vy, z + 0.5 * dt * vz
-        vx2, vy2, vz2 = vx + 0.5 * dt * a1x, vy + 0.5 * dt * a1y, vz + 0.5 * dt * a1z
-        a2x = 0.5 * ch * x2 - gam * vx2 + aex
-        a2y = 0.5 * ch * y2 - gam * vy2 + aey
-        a2z = -ch * z2 - gam * vz2 + aez
-        # stage 3
-        x3, y3, z3 = x + 0.5 * dt * vx2, y + 0.5 * dt * vy2, z + 0.5 * dt * vz2
-        vx3, vy3, vz3 = vx + 0.5 * dt * a2x, vy + 0.5 * dt * a2y, vz + 0.5 * dt * a2z
-        a3x = 0.5 * ch * x3 - gam * vx3 + aex
-        a3y = 0.5 * ch * y3 - gam * vy3 + aey
-        a3z = -ch * z3 - gam * vz3 + aez
-        # stage 4
-        x4, y4, z4 = x + dt * vx3, y + dt * vy3, z + dt * vz3
-        vx4, vy4, vz4 = vx + dt * a3x, vy + dt * a3y, vz + dt * a3z
-        a4x = 0.5 * c1 * x4 - gam * vx4 + aex
-        a4y = 0.5 * c1 * y4 - gam * vy4 + aey
-        a4z = -c1 * z4 - gam * vz4 + aez
-
-        x += dt / 6.0 * (vx + 2.0 * vx2 + 2.0 * vx3 + vx4)
-        y += dt / 6.0 * (vy + 2.0 * vy2 + 2.0 * vy3 + vy4)
-        z += dt / 6.0 * (vz + 2.0 * vz2 + 2.0 * vz3 + vz4)
-        vx += dt / 6.0 * (a1x + 2.0 * a2x + 2.0 * a3x + a4x)
-        vy += dt / 6.0 * (a1y + 2.0 * a2y + 2.0 * a3y + a4y)
-        vz += dt / 6.0 * (a1z + 2.0 * a2z + 2.0 * a3z + a4z)
-
-        t_next = (k + 1) * dt
-        if (k + 1) % store_every == 0 or k == n_steps - 1:
-            ts.append(t_next)
-            pos.append((x, y, z))
-            vel.append((vx, vy, vz))
-        if abs(x) > esc or abs(y) > esc or abs(z) > esc:
-            escaped = True
-            escape_time = t_next
-            if ts[-1] != t_next:
-                ts.append(t_next)
-                pos.append((x, y, z))
-                vel.append((vx, vy, vz))
+    for k in range(0, n_steps, _BLOCK):
+        t = np.arange(k, min(k + _BLOCK, n_steps)) * dt
+        c = cd * np.cos(om * (t + _STAGES * dt))
+        # the x and y axes share the radial stiffness -c/2, z has stiffness c
+        prod = _prefix_products(_rk4_transfer(*(c[..., None] * (-0.5, 1.0)),
+                                              trap.damping_gamma, dt))
+        states = np.concatenate([prod[:, 0] @ state[:, :2], prod[:, 1] @ state[:, 2:]],
+                                axis=2)
+        step = np.arange(k + 1, k + 1 + len(t))
+        keep = (step % store_every == 0) | (step == n_steps)
+        out = np.flatnonzero(np.any(np.abs(states[:, 0]) > esc, axis=1))
+        if out.size:  # store the samples up to the first escaping step, and that step
+            escape_step = int(step[out[0]])
+            keep[out[0]] = True
+            keep[out[0] + 1:] = False
+        steps_kept.append(step[keep])
+        states_kept.append(states[keep, :2])
+        if escape_step is not None:
             break
+        state = states[-1]
 
-    return Trajectory(t=np.array(ts), positions=np.array(pos),
-                      velocities=np.array(vel), escaped=escaped,
-                      escape_time=escape_time)
+    states = np.concatenate(states_kept)
+    return Trajectory(t=np.concatenate(steps_kept) * dt, positions=states[:, 0],
+                      velocities=states[:, 1], escaped=escape_step is not None,
+                      escape_time=None if escape_step is None else escape_step * dt)
 
 
 def frequency_ramp_instability(trap: TrapConfig, p: Particle,
@@ -345,6 +331,8 @@ def frequency_ramp_instability(trap: TrapConfig, p: Particle,
     m = particle_mass(p)
     if dt is None:
         dt = 2.0 * math.pi / (MIN_STEPS_PER_DRIVE_PERIOD * omega_start)
+    elif not (dt > 0.0):
+        raise ValueError("dt must be > 0")
     elif dt > 2.0 * math.pi / (MIN_STEPS_PER_DRIVE_PERIOD * omega_start):
         raise ValueError("dt too large for the starting drive frequency")
     if seed_displacement is None:
@@ -359,33 +347,21 @@ def frequency_ramp_instability(trap: TrapConfig, p: Particle,
                       "the detected instability frequency will lag", stacklevel=2)
 
     k_acc = p.total_charge * trap.eta * trap.v_ac / (m * trap.z0 ** 2)
-    gam = trap.damping_gamma
     esc = ESCAPE_RADIUS_FACTOR * trap.z0
-    z, vz = seed_displacement, 0.0
-    phase, t = 0.0, 0.0
-    t_max = (omega_start - omega_end) / ramp_rate
-    cos = math.cos
+    state = np.array([seed_displacement, 0.0, 0.0])
+    n_steps = math.ceil((omega_start - omega_end) / ramp_rate / dt)
 
-    while t < t_max:
-        om_t = omega_start - ramp_rate * t
-        c0 = k_acc * cos(phase)
-        ch = k_acc * cos(phase + 0.5 * om_t * dt)
-        c1 = k_acc * cos(phase + om_t * dt)
-
-        a1 = -c0 * z - gam * vz
-        z2, v2 = z + 0.5 * dt * vz, vz + 0.5 * dt * a1
-        a2 = -ch * z2 - gam * v2
-        z3, v3 = z + 0.5 * dt * v2, vz + 0.5 * dt * a2
-        a3 = -ch * z3 - gam * v3
-        z4, v4 = z + dt * v3, vz + dt * a3
-        a4 = -c1 * z4 - gam * v4
-
-        z += dt / 6.0 * (vz + 2.0 * v2 + 2.0 * v3 + v4)
-        vz += dt / 6.0 * (a1 + 2.0 * a2 + 2.0 * a3 + a4)
-        phase += om_t * dt
-        t += dt
-        if abs(z) > esc:
-            return omega_start - ramp_rate * t
+    for k in range(0, n_steps, _BLOCK):
+        j = np.arange(k, min(k + _BLOCK, n_steps))
+        om_t = omega_start - ramp_rate * (j * dt)
+        # left-sum drive phase accumulated over steps 0 .. j-1
+        phase = dt * j * (omega_start - ramp_rate * dt * (j - 1) / 2.0)
+        c = k_acc * np.cos(phase + _STAGES * (om_t * dt))
+        states = _prefix_products(_rk4_transfer(*c, trap.damping_gamma, dt)) @ state
+        out = np.flatnonzero(np.abs(states[:, 0]) > esc)
+        if out.size:
+            return float(omega_start - ramp_rate * ((j[out[0]] + 1) * dt))
+        state = states[-1]
 
     raise PhysicsError("stable over full ramp: no instability detected")
 

@@ -89,6 +89,20 @@ class TestPhysicsAndSolverExitCodes:
                                "--out", str(tmp_path))
         assert code == 1
 
+    @pytest.mark.parametrize("argv", [
+        ("trap-sim", "--dt-s", "0"),
+        ("trap-sim", "--t-end-s", "inf"),
+        ("trap-sim", "--charge-e", "nan"),
+        ("angular-sim", "--dt-s", "0"),
+        ("radiation", "--seed", "0"),  # the key no longer exists
+    ])
+    def test_malformed_numeric_input_exits_1_with_one_line(self, tmp_path, capsys, argv):
+        code, out, err = run_cli(capsys, *argv, "--out", str(tmp_path))
+        assert code == 1
+        assert out == ""
+        assert len(err.strip().splitlines()) == 1
+        assert "Traceback" not in err
+
 
 class TestPipelines:
     def test_radiation_summary(self, tmp_path, capsys):

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from scipy.optimize import brentq
+from scipy.special import mathieu_a, mathieu_b
 
 from levitaq.core import Particle, particle_mass
 from levitaq.errors import PhysicsError, UntrappedParticleError
@@ -121,6 +123,27 @@ class TestFloquet:
     def test_nonfinite_rejected(self):
         with pytest.raises(ValueError):
             floquet_stability(0.0, math.inf)
+
+    @pytest.mark.parametrize("a", [0.0, 0.1, 0.3, 0.6])
+    def test_boundary_matches_mathieu_b1(self, a):
+        # the first stability region ends where the characteristic value b1(q) falls to a
+        q_edge = brentq(lambda q: mathieu_b(1, q) - a, 1e-6, 1.5, xtol=1e-12)
+        if a == 0.0:
+            assert q_edge == pytest.approx(0.9080463, abs=1e-7)
+        assert find_stability_boundary(a, 0.0, 1.5, 1e-4) == pytest.approx(q_edge, abs=1e-4)
+
+    def test_stability_flag_matches_mathieu_edges(self):
+        # first stability region a0(q) < a < b1(q); the next edge, a1(q), lies above
+        # every a on this grid
+        checked = 0
+        for a in np.linspace(-0.4, 0.8, 7):
+            for q in np.linspace(0.05, 1.4, 10):
+                lo, hi = mathieu_a(0, q), mathieu_b(1, q)
+                if min(abs(a - lo), abs(a - hi)) < 0.02:
+                    continue
+                assert floquet_stability(a, q).stable == (lo < a < hi), (a, q)
+                checked += 1
+        assert checked > 50
 
 
 class TestIntegrateMotion:
