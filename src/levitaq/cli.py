@@ -15,7 +15,9 @@ from __future__ import annotations
 import argparse
 import math
 import os
+import re
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -38,18 +40,17 @@ TWO_PI = 2.0 * math.pi
 
 _REQUIRED = object()
 
-_PARTICLE_KEYS = {
+_SPHERE_KEYS = {
     "diameter_m": (9.6e-6, float),
     "density_kg_m3": (3510.0, float),
-    "charge_e": (-5000.0, float),  # signed, in elementary charges
 }
 
-_TRAP_KEYS = {
+_CHARGED_TRAP_KEYS = {
+    **_SPHERE_KEYS,
+    "charge_e": (-5000.0, float),  # signed, in elementary charges
     "v_ac_volts": (4000.0, float),
-    "drive_frequency_hz": (5000.0, float),
     "z0_m": (50e-6, float),
     "eta": (0.2, float),
-    "xi_v_m2": (2.0e6, float),
     "damping_per_s": (0.0, float),
 }
 
@@ -60,7 +61,8 @@ _DETECT_KEYS = {
 
 KEYSPECS: dict[str, dict] = {
     "trap-sim": {
-        **_PARTICLE_KEYS, **_TRAP_KEYS,
+        **_CHARGED_TRAP_KEYS,
+        "drive_frequency_hz": (5000.0, float),
         "t_end_s": (0.02, float),
         "dt_s": (1e-6, float),
         "initial_x_m": (0.0, float),
@@ -82,14 +84,15 @@ KEYSPECS: dict[str, dict] = {
         "tol": (1e-4, float),
     },
     "ramp-infer": {
-        **_PARTICLE_KEYS, **_TRAP_KEYS,
+        **_CHARGED_TRAP_KEYS,
+        "xi_v_m2": (2.0e6, float),
         "omega_start_hz": (4500.0, float),
         "omega_end_hz": (2000.0, float),
         "ramp_rate_hz_s": (0.0, float),       # 0 -> auto (0.2% of drive per secular period)
         "seed_displacement_m": (0.0, float),  # 0 -> auto (z0 / 2)
     },
     "radiation": {
-        **_PARTICLE_KEYS,
+        **_SPHERE_KEYS,
         "power_w": (1e-3, float),
         "reflection_coeff": (0.2, float),
         "half_aperture_rad": (0.8788, float),
@@ -146,9 +149,25 @@ KEYSPECS: dict[str, dict] = {
 }
 
 
+_NEGATIVE_NUMBER = re.compile(r"-\.?\d[\d.]*([eE][-+]?\d+)?")
+
+
 class _Parser(argparse.ArgumentParser):
     def error(self, message):  # argparse would exit(2); keep 2 for physics errors
         raise ConfigError(message)
+
+
+def _attach_negative_values(argv) -> list[str]:
+    """Pass ``--key -1e-6`` on as ``--key=-1e-6``: argparse takes a dash-led
+    value that is not a plain negative decimal for an option."""
+    out: list[str] = []
+    for arg in argv:
+        prev = out[-1] if out else ""
+        if prev.startswith("--") and "=" not in prev and _NEGATIVE_NUMBER.fullmatch(arg):
+            out[-1] += "=" + arg
+        else:
+            out.append(arg)
+    return out
 
 
 def _load_config_file(path: str) -> dict[str, str]:
@@ -209,10 +228,10 @@ def _particle(cfg: dict) -> Particle:
                            total_charge=charge)
 
 
-def _trap(cfg: dict) -> TrapConfig:
-    return TrapConfig(v_ac=cfg["v_ac_volts"], drive_freq=TWO_PI * cfg["drive_frequency_hz"],
-                      z0=cfg["z0_m"], eta=cfg["eta"], xi=cfg["xi_v_m2"],
-                      damping_gamma=cfg["damping_per_s"])
+def _trap(cfg: dict, drive_hz: float) -> TrapConfig:
+    """The needle trap driven at ``drive_hz``, with the default static curvature."""
+    return TrapConfig(v_ac=cfg["v_ac_volts"], drive_freq=TWO_PI * drive_hz,
+                      z0=cfg["z0_m"], eta=cfg["eta"], damping_gamma=cfg["damping_per_s"])
 
 
 def _field(cfg: dict) -> FieldOrientation:
@@ -228,7 +247,7 @@ def _auto_grid(cfg: dict, lo: float, hi: float) -> np.ndarray:
 
 def _run_trap_sim(cfg: dict, run_dir: Path) -> str:
     p = _particle(cfg)
-    trap = _trap(cfg)
+    trap = _trap(cfg, cfg["drive_frequency_hz"])
     force = (cfg["force_x_n"], cfg["force_y_n"], cfg["force_z_n"])
     traj = integrate_motion(
         trap, p, forces=[force], t_end=cfg["t_end_s"], dt=cfg["dt_s"],
@@ -255,15 +274,14 @@ def _run_stability_scan(cfg: dict, run_dir: Path) -> str:
 
 def _run_ramp_infer(cfg: dict, run_dir: Path) -> str:
     p = _particle(cfg)
-    trap = _trap(cfg)
-    om_start = TWO_PI * cfg["omega_start_hz"]
+    # the ramp sets the drive frequency; the trap starts at omega_start
+    trap = replace(_trap(cfg, cfg["omega_start_hz"]), xi=cfg["xi_v_m2"])
+    om_start = trap.drive_freq
     om_end = TWO_PI * cfg["omega_end_hz"]
     if cfg["ramp_rate_hz_s"] > 0.0:
         rate = TWO_PI * cfg["ramp_rate_hz_s"]
     else:
-        trap_start = TrapConfig(v_ac=trap.v_ac, drive_freq=om_start, z0=trap.z0,
-                                eta=trap.eta, xi=trap.xi, damping_gamma=trap.damping_gamma)
-        t_sec = TWO_PI / secular_frequency(trap_start, p)
+        t_sec = TWO_PI / secular_frequency(trap, p)
         rate = 0.002 * om_start / t_sec
     seed = cfg["seed_displacement_m"] if cfg["seed_displacement_m"] > 0.0 else None
     om_unstable = frequency_ramp_instability(trap, p, om_start, om_end, rate,
@@ -283,7 +301,7 @@ def _run_ramp_infer(cfg: dict, run_dir: Path) -> str:
 
 
 def _run_radiation(cfg: dict, run_dir: Path) -> str:
-    p = _particle(cfg)
+    p = Particle.sphere(diameter=cfg["diameter_m"], density=cfg["density_kg_m3"])
     laser = LaserConfig(power=cfg["power_w"], reflection_coeff=cfg["reflection_coeff"],
                         half_aperture=cfg["half_aperture_rad"])
     force = radiation_pressure_force(laser)
@@ -416,7 +434,8 @@ def _build_parser() -> _Parser:
 def run(argv=None) -> int:
     """Entry point returning the process exit code."""
     try:
-        args = _build_parser().parse_args(argv)
+        args = _build_parser().parse_args(
+            _attach_negative_values(sys.argv[1:] if argv is None else argv))
         sub = args.subcommand
         file_values = _load_config_file(args.config) if args.config else {}
         flag_values = {k: getattr(args, k) for k in KEYSPECS[sub]

@@ -47,10 +47,12 @@ class Particle:
     def __post_init__(self):
         if len(self.semi_axes) != 3:
             raise ValueError("semi_axes must have exactly three entries")
-        if any(not (ax > 0.0) for ax in self.semi_axes):
-            raise ValueError("all semi-axes must be > 0")
-        if not (self.density > 0.0):
-            raise ValueError("density must be > 0")
+        if any(not (0.0 < ax < math.inf) for ax in self.semi_axes):
+            raise ValueError("all semi-axes must be finite and > 0")
+        if not (0.0 < self.density < math.inf):
+            raise ValueError("density must be finite and > 0")
+        if not math.isfinite(self.total_charge):
+            raise ValueError("total_charge must be finite")
 
     @classmethod
     def sphere(cls, diameter: float, density: float = DIAMOND_DENSITY,

@@ -14,7 +14,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import ConfigError
-from .esr import Spectrum
+from .esr import Spectrum, uniform_steps
 from .rotation import AngleTrajectory
 from .solver import EsrSolution, RotationReport
 from .trap import Trajectory
@@ -85,7 +85,7 @@ def ingest_spectrum(path) -> Spectrum:
     if not np.all(df > 0.0):
         bad = int(np.flatnonzero(df <= 0.0)[0]) + 3  # header + 1-based + offset
         raise ConfigError(f"{path}: line {bad}: frequencies must be strictly ascending")
-    if not np.allclose(df, df[0], rtol=1e-6, atol=0.0):
+    if not uniform_steps(df):
         warnings.warn(f"{path}: non-uniform frequency grid; resampling to uniform",
                       stacklevel=2)
         fu = np.linspace(f[0], f[-1], f.size)

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import CONSTANTS, PhysicalConstants, nv_axes
+from .core import CONSTANTS, nv_axes
 from .errors import SolverError
 
 
@@ -40,8 +40,10 @@ class FieldOrientation:
     phi: float
 
     def __post_init__(self):
-        if self.b_gauss < 0.0:
-            raise ValueError("b_gauss must be >= 0")
+        if not (math.isfinite(self.b_gauss) and self.b_gauss >= 0.0):
+            raise ValueError("b_gauss must be finite and >= 0")
+        if not math.isfinite(self.theta):
+            raise ValueError("theta must be finite")
         if not (0.0 <= self.phi <= math.pi):
             raise ValueError("phi must be in [0, pi]")
         object.__setattr__(self, "theta", self.theta % (2.0 * math.pi))
@@ -66,6 +68,11 @@ class LineModel:
             raise ValueError("contrast_per_line must be in (0, 1)")
 
 
+def uniform_steps(df: np.ndarray) -> bool:
+    """Whether the steps ``df`` of an ascending grid agree within 1e-6 relative."""
+    return bool(np.allclose(df, df[0], rtol=1e-6, atol=0.0))
+
+
 @dataclass
 class Spectrum:
     """Normalized photoluminescence contrast on a uniform ascending grid.
@@ -85,7 +92,7 @@ class Spectrum:
         df = np.diff(f)
         if not np.all(df > 0.0):
             raise ValueError("frequency grid must be strictly ascending")
-        if not np.allclose(df, df[0], rtol=1e-6, atol=0.0):
+        if not uniform_steps(df):
             raise ValueError("frequency grid must be uniform")
         if not (np.all(v > 0.0) and np.all(v <= 1.05)):
             raise ValueError("values must lie in (0, 1.05]")
@@ -114,13 +121,12 @@ class ZeemanShifts:
     dip_frequencies_hz: np.ndarray
 
 
-def zeeman_shifts(field: FieldOrientation, constants: PhysicalConstants = CONSTANTS,
-                  normalized: bool = False) -> ZeemanShifts:
+def zeeman_shifts(field: FieldOrientation, normalized: bool = False) -> ZeemanShifts:
     """Resonance shifts of the four axis families for a static field."""
     axes = nv_axes(normalized=normalized)
     proj = axes @ field.unit_vector()
-    shifts = constants.gamma_e_hz_per_gauss * field.b_gauss * proj
-    d = constants.zero_field_splitting_hz
+    shifts = CONSTANTS.gamma_e_hz_per_gauss * field.b_gauss * proj
+    d = CONSTANTS.zero_field_splitting_hz
     dips = np.sort(np.concatenate([d - np.abs(shifts), d + np.abs(shifts)]))
     for arr in (proj, shifts, dips):
         arr.setflags(write=False)
@@ -183,7 +189,6 @@ def synth_spectrum(dips_hz, model: LineModel, grid_hz, visibilities=None) -> Spe
 
 
 def sweep_amplitudes(field: FieldOrientation, rotation_axis,
-                     constants: PhysicalConstants = CONSTANTS,
                      normalized: bool = False) -> tuple[np.ndarray, np.ndarray]:
     """Per-axis sinusoidal sweep of the shift under crystal rotation.
 
@@ -200,7 +205,7 @@ def sweep_amplitudes(field: FieldOrientation, rotation_axis,
     a_par = (n @ bhat) * (axes @ n)
     c_cos = axes @ bhat - a_par
     c_sin = axes @ np.cross(n, bhat)
-    gb = constants.gamma_e_hz_per_gauss * field.b_gauss
+    gb = CONSTANTS.gamma_e_hz_per_gauss * field.b_gauss
     return gb * a_par, gb * np.hypot(c_cos, c_sin)
 
 
@@ -213,7 +218,6 @@ def _arcsine_cells(half_range: float, n_cells: int) -> np.ndarray:
 
 def rotation_broadened_spectrum(field: FieldOrientation, rotation_axis,
                                 model: LineModel, grid_hz,
-                                constants: PhysicalConstants = CONSTANTS,
                                 normalized: bool = False,
                                 n_cells: int = 400,
                                 visibilities=None) -> Spectrum:
@@ -225,9 +229,11 @@ def rotation_broadened_spectrum(field: FieldOrientation, rotation_axis,
     centroid.  A zero sweep range reduces a line to the static Lorentzian
     exactly.
     """
+    if n_cells < 1:
+        raise ValueError("n_cells must be >= 1")
     grid = np.asarray(grid_hz, dtype=float)
-    centers, half_ranges = sweep_amplitudes(field, rotation_axis, constants, normalized)
-    d = constants.zero_field_splitting_hz
+    centers, half_ranges = sweep_amplitudes(field, rotation_axis, normalized)
+    d = CONSTANTS.zero_field_splitting_hz
     g = model.hwhm
     vis = _line_visibilities(visibilities, 8)
     _check_total_contrast(8, model)
@@ -255,32 +261,27 @@ def rotation_broadened_spectrum(field: FieldOrientation, rotation_axis,
 
 
 def extremal_field_estimate(spectrum: Spectrum, threshold: float,
-                            p_max: float | None = None,
-                            min_extent_hz: float = 2.0e7,
-                            center_hz: float | None = None,
-                            constants: PhysicalConstants = CONSTANTS,
                             normalized: bool = False) -> float:
     """Field magnitude (gauss) from the outermost resonance extent of a spectrum.
 
     Finds the outermost grid frequencies at which the dip depth 1 - value
-    exceeds ``threshold`` and converts the larger one-sided extent to a field
-    via B = extent / (gamma_e * p_max), where p_max is the largest axis
-    projection reached during the rotation (sqrt(3) for the unnormalized axis
-    convention when the sweep passes through alignment).  Extents not
-    exceeding ``min_extent_hz`` are rejected as bare central-dip structure
-    rather than resolved field splitting.
+    exceeds ``threshold`` and converts the larger one-sided extent from the
+    zero-field splitting D to a field via B = extent / (gamma_e * p_max),
+    where p_max is the largest axis projection reached during the rotation
+    (the axis norm, sqrt(3) unnormalized or 1 normalized, when the sweep
+    passes through alignment).  Extents not exceeding 20 MHz are rejected as
+    bare central-dip structure rather than resolved field splitting.
     """
-    if p_max is None:
-        p_max = 1.0 if normalized else math.sqrt(3.0)
+    p_max = 1.0 if normalized else math.sqrt(3.0)
     if not (threshold > 0.0):
         raise ValueError("threshold must be > 0")
-    d = constants.zero_field_splitting_hz if center_hz is None else center_hz
+    d = CONSTANTS.zero_field_splitting_hz
     depth = 1.0 - spectrum.values
     above = np.flatnonzero(depth > threshold)
     if above.size == 0:
         raise SolverError("no resonance detected: no dip exceeds the threshold")
     f = spectrum.frequencies
     extent = max(float(f[above[-1]] - d), float(d - f[above[0]]))
-    if extent <= min_extent_hz:
+    if extent <= 2.0e7:
         raise SolverError("no resonance detected beyond the central dip width")
-    return extent / (constants.gamma_e_hz_per_gauss * p_max)
+    return extent / (CONSTANTS.gamma_e_hz_per_gauss * p_max)

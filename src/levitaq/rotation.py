@@ -30,6 +30,8 @@ from .errors import ConvergenceError, SolverError
 from .spectral import dominant_frequency
 from .trap import MIN_STEPS_PER_DRIVE_PERIOD, FloquetResult, floquet_stability
 
+_SHAPE_MAX_REFINEMENTS = 7  # grid doublings of the surface quadrature
+
 
 @dataclass(frozen=True)
 class AngularState:
@@ -69,7 +71,7 @@ class AngleTrajectory:
             arr.setflags(write=False)
 
 
-def shape_factor(p: Particle, tol: float = 1e-8, max_refinements: int = 7) -> float:
+def shape_factor(p: Particle, tol: float = 1e-8) -> float:
     """Surface shape factor S_I = (3/S) * integral of (z^2 - x^2) over the surface (m^2).
 
     Computed in the body frame (semi-axis c along z) by a tensor-product rule:
@@ -100,7 +102,7 @@ def shape_factor(p: Particle, tol: float = 1e-8, max_refinements: int = 7) -> fl
     scale = max(a, b, c) ** 2
     nu, nth = 16, 32
     prev = evaluate(nu, nth)
-    for _ in range(max_refinements):
+    for _ in range(_SHAPE_MAX_REFINEMENTS):
         nu *= 2
         nth *= 2
         cur = evaluate(nu, nth)
@@ -109,7 +111,7 @@ def shape_factor(p: Particle, tol: float = 1e-8, max_refinements: int = 7) -> fl
             return cur
         prev = cur
     raise ConvergenceError(
-        f"surface quadrature not converged after {max_refinements} refinements "
+        f"surface quadrature not converged after {_SHAPE_MAX_REFINEMENTS} refinements "
         f"(last grids {nu}x{nth}, last change {abs(cur - prev):.3e} m^2)")
 
 

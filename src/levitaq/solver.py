@@ -19,11 +19,15 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.optimize import least_squares
 
-from .core import CONSTANTS, PhysicalConstants, nv_axes
+from .core import CONSTANTS, nv_axes
 from .errors import SolverError
-from .esr import FieldOrientation, Spectrum, zeeman_shifts
+from .esr import FieldOrientation, Spectrum
 
 _TIE_ROUND_HZ = 1.0  # residuals equal within 1 Hz count as tied
+_N_THETA, _N_PHI = 24, 12  # multi-start grid of solve_general
+_N_REFINE = 6  # best-scoring starts refined by least squares
+_COMPARE_B_TOLERANCE_GAUSS = 2.0  # closed-form field must match b_fixed this closely
+_EXTREMAL_MATCH_TOLERANCE = 0.02  # relative change of the outermost shift
 
 
 @dataclass
@@ -148,9 +152,7 @@ def degeneracy_classes(solution: EsrSolution) -> list[tuple[float, float]]:
     return members
 
 
-def equidistant_inversion(omega1_hz: float, omega2_hz: float,
-                          constants: PhysicalConstants = CONSTANTS
-                          ) -> tuple[float, float, float]:
+def equidistant_inversion(omega1_hz: float, omega2_hz: float) -> tuple[float, float, float]:
     """Closed-form (theta, phi, B) from the two outermost equally spaced shifts.
 
     Four equally spaced positive-side shifts force tan(theta) = 2; with
@@ -166,43 +168,55 @@ def equidistant_inversion(omega1_hz: float, omega2_hz: float,
         raise ValueError("shift ratio >= 3 is outside the closed-form domain")
     theta = math.atan(2.0)
     phi = math.atan((r - 1.0) / (0.5 * math.sin(theta) * (3.0 - r)))
-    b = omega1_hz / (constants.gamma_e_hz_per_gauss
+    b = omega1_hz / (CONSTANTS.gamma_e_hz_per_gauss
                      * (1.5 * math.sin(theta) * math.sin(phi) + math.cos(phi)))
     return theta, phi, b
 
 
-def _positive_shifts(peaks: PeakList, constants: PhysicalConstants) -> tuple[np.ndarray, np.ndarray]:
-    d = constants.zero_field_splitting_hz
-    f = peaks.frequencies
-    return np.sort(f[f > d] - d)[::-1], np.sort(d - f[f < d])[::-1]
+def _shift_magnitudes(peaks: PeakList) -> np.ndarray:
+    """Observed shift magnitudes |f - D|, ascending."""
+    return np.sort(np.abs(peaks.frequencies - CONSTANTS.zero_field_splitting_hz))
 
 
-def _equidistant_shifts(peaks: PeakList, constants: PhysicalConstants,
-                        tolerance: float) -> np.ndarray | None:
+def _axis_magnitudes(theta: float, phi: float, b_gauss: float) -> np.ndarray:
+    """Model shift magnitudes |gamma_e B (x_i . B_hat)| of the four axes."""
+    bhat = np.array([math.cos(theta) * math.sin(phi),
+                     math.sin(theta) * math.sin(phi), math.cos(phi)])
+    return np.abs(CONSTANTS.gamma_e_hz_per_gauss * b_gauss * (nv_axes() @ bhat))
+
+
+def _shift_residuals(m_obs: np.ndarray, mags: np.ndarray) -> np.ndarray:
+    """Residual vectors of sorted observed magnitudes ``m_obs`` (n,) against
+    model axis magnitudes ``mags`` (..., 4).
+
+    With eight dips the model magnitudes (each axis twice) are paired with
+    the observations in sorted order - the assignment-optimal matching for
+    scalar shifts - and with exactly four dips one per axis the same way;
+    other dip counts (degenerate or partially merged lines) get a symmetric
+    nearest-match residual of length n + 4.
+    """
+    n = m_obs.size
+    if n in (4, 8):
+        return np.sort(np.repeat(mags, n // 4, axis=-1), axis=-1) - m_obs
+    diff = np.abs(m_obs[:, None] - mags[..., None, :])
+    return np.concatenate([diff.min(axis=-1), diff.min(axis=-2)], axis=-1)
+
+
+def _equidistant_shifts(peaks: PeakList, tolerance: float) -> np.ndarray | None:
     """The four descending positive-side shifts, or None when the eight-dip
     equally-spaced pattern does not hold within ``tolerance``."""
     if len(peaks) != 8:
         return None
-    pos, neg = _positive_shifts(peaks, constants)
-    if pos.size != 4 or neg.size != 4:
+    d = CONSTANTS.zero_field_splitting_hz
+    f = peaks.frequencies
+    pos = np.sort(f[f > d] - d)[::-1]
+    if pos.size != 4 or np.count_nonzero(f < d) != 4:
         return None
     spacings = -np.diff(pos)
     mean = float(spacings.mean())
     if mean > 0.0 and float(np.max(np.abs(spacings - mean))) > tolerance * mean:
         return None
     return pos
-
-
-def _solution_residual(theta: float, phi: float, b_gauss: float,
-                       peaks: PeakList, constants: PhysicalConstants) -> float:
-    model = zeeman_shifts(FieldOrientation(b_gauss=b_gauss, theta=theta, phi=phi),
-                          constants).dip_frequencies_hz
-    obs = np.sort(peaks.frequencies)
-    if obs.size == model.size:
-        return float(np.sqrt(np.mean((model - obs) ** 2)))
-    d_obs = np.min(np.abs(obs[:, None] - model[None, :]), axis=1)
-    d_mod = np.min(np.abs(obs[:, None] - model[None, :]), axis=0)
-    return float(np.sqrt(np.mean(np.concatenate([d_obs, d_mod]) ** 2)))
 
 
 def _finish_solution(theta: float, phi: float, b_gauss: float, residual: float,
@@ -216,27 +230,35 @@ def _finish_solution(theta: float, phi: float, b_gauss: float, residual: float,
                        continuous_theta=continuous, method=method)
 
 
-def solve_equidistant(peaks: PeakList, constants: PhysicalConstants = CONSTANTS,
-                      spacing_tolerance: float = 0.05, **general_kwargs) -> EsrSolution:
+def _closed_form(peaks: PeakList,
+                 spacing_tolerance: float) -> tuple[EsrSolution | None, str]:
+    """The closed-form equidistant solution, or None and why it does not apply."""
+    shifts = _equidistant_shifts(peaks, spacing_tolerance)
+    if shifts is None:
+        return None, "peaks are not an equidistant eight-dip pattern"
+    try:
+        theta, phi, b = equidistant_inversion(shifts[0], shifts[1])
+    except ValueError as exc:
+        return None, f"closed-form inversion rejected the shifts ({exc})"
+    res = _shift_residuals(_shift_magnitudes(peaks), _axis_magnitudes(theta, phi, b))
+    return _finish_solution(theta, phi, b, float(np.sqrt(np.mean(res ** 2))),
+                            method="equidistant"), ""
+
+
+def solve_equidistant(peaks: PeakList, spacing_tolerance: float = 0.05,
+                      residual_threshold_hz: float = 30e6) -> EsrSolution:
     """Invert an eight-dip, equally spaced spectrum in closed form.
 
-    Falls through to solve_general (with a warning) when the input is not
-    equidistant within ``spacing_tolerance`` of the mean spacing, has the
-    wrong dip count, or sits outside the closed-form domain.
+    Falls through to solve_general (with a warning, and with
+    ``residual_threshold_hz``) when the input is not equidistant within
+    ``spacing_tolerance`` of the mean spacing, has the wrong dip count, or
+    sits outside the closed-form domain.
     """
-    shifts = _equidistant_shifts(peaks, constants, spacing_tolerance)
-    if shifts is None:
-        warnings.warn("peaks are not an equidistant eight-dip pattern; "
-                      "falling back to the general solver", stacklevel=2)
-        return solve_general(peaks, constants=constants, **general_kwargs)
-    try:
-        theta, phi, b = equidistant_inversion(shifts[0], shifts[1], constants)
-    except ValueError as exc:
-        warnings.warn(f"closed-form inversion rejected the shifts ({exc}); "
-                      "falling back to the general solver", stacklevel=2)
-        return solve_general(peaks, constants=constants, **general_kwargs)
-    residual = _solution_residual(theta, phi, b, peaks, constants)
-    return _finish_solution(theta, phi, b, residual, method="equidistant")
+    sol, reason = _closed_form(peaks, spacing_tolerance)
+    if sol is None:
+        warnings.warn(f"{reason}; falling back to the general solver", stacklevel=2)
+        return solve_general(peaks, residual_threshold_hz=residual_threshold_hz)
+    return sol
 
 
 def _wrap_solution_angles(theta: float, phi: float) -> tuple[float, float]:
@@ -247,21 +269,15 @@ def _wrap_solution_angles(theta: float, phi: float) -> tuple[float, float]:
     return theta % (2.0 * math.pi), phi
 
 
-def solve_general(peaks: PeakList, constants: PhysicalConstants = CONSTANTS,
-                  residual_threshold_hz: float = 30e6,
-                  n_theta: int = 24, n_phi: int = 12, n_refine: int = 6,
+def solve_general(peaks: PeakList, residual_threshold_hz: float = 30e6,
                   b_fixed: float | None = None) -> EsrSolution:
     """Least-squares orientation fit with multi-start over a (theta, phi) grid.
 
-    Observed dips are reduced to shift magnitudes |f - D|.  With eight dips
-    the model magnitudes (each axis twice) are paired with the observations
-    in sorted order - the assignment-optimal matching for scalar shifts -
-    and with exactly four dips they are paired one per axis the same way;
-    other dip counts (degenerate or partially merged lines) fall back to a
-    symmetric nearest-match residual, so spectra whose lines coincide at
-    special orientations remain solvable (the orientation is then pinned
-    only up to the matching family).  The coarse grid (default 24 x 12
-    starts) is scored with a closed-form field estimate, the best starts
+    Observed dips are reduced to shift magnitudes |f - D| and matched to the
+    model axis magnitudes as in ``_shift_residuals``, so spectra whose lines
+    coincide at special orientations remain solvable (the orientation is
+    then pinned only up to the matching family).  The coarse 24 x 12 start
+    grid is scored with a closed-form field estimate, the six best starts
     are refined, and the result is reported as the degeneracy-class
     representative with smallest theta, then phi.  Raises when the best
     residual exceeds ``residual_threshold_hz``.
@@ -269,59 +285,35 @@ def solve_general(peaks: PeakList, constants: PhysicalConstants = CONSTANTS,
     n = len(peaks)
     if n < 1:
         raise ValueError("need at least one dip to constrain the orientation")
-    d = constants.zero_field_splitting_hz
-    gamma = constants.gamma_e_hz_per_gauss
-    axes = nv_axes()
-    m_obs = np.sort(np.abs(peaks.frequencies - d))
-    repeats = 2 if n == 8 else 1
-
-    def model_mags(theta: float, phi: float, b: float) -> np.ndarray:
-        bhat = np.array([math.cos(theta) * math.sin(phi),
-                         math.sin(theta) * math.sin(phi), math.cos(phi)])
-        return np.abs(gamma * b * (axes @ bhat))
-
-    def residual_vec(theta: float, phi: float, b: float) -> np.ndarray:
-        mags = model_mags(theta, phi, b)
-        if n in (4, 8):
-            return np.sort(np.repeat(mags, repeats)) - m_obs
-        diff = np.abs(m_obs[:, None] - mags[None, :])
-        return np.concatenate([diff.min(axis=1), diff.min(axis=0)])
+    m_obs = _shift_magnitudes(peaks)
 
     # coarse scoring over the start grid, vectorized
-    th = np.linspace(0.0, 2.0 * math.pi, n_theta, endpoint=False)
-    ph = np.linspace(0.0, math.pi, n_phi)
+    th = np.linspace(0.0, 2.0 * math.pi, _N_THETA, endpoint=False)
+    ph = np.linspace(0.0, math.pi, _N_PHI)
     tt, pp = np.meshgrid(th, ph, indexing="ij")
     bhats = np.stack([np.cos(tt) * np.sin(pp), np.sin(tt) * np.sin(pp),
                       np.cos(pp)], axis=-1).reshape(-1, 3)
-    v4 = np.abs(bhats @ axes.T) * gamma  # shift magnitudes per gauss
+    v4 = np.abs(bhats @ nv_axes().T) * CONSTANTS.gamma_e_hz_per_gauss  # per gauss
     if b_fixed is not None:
         b0 = np.full(v4.shape[0], float(b_fixed))
     elif n in (4, 8):
-        vm = np.sort(np.repeat(v4, repeats, axis=1), axis=1)
+        vm = np.sort(np.repeat(v4, n // 4, axis=1), axis=1)
         denom = np.sum(vm * vm, axis=1)
         b0 = np.where(denom > 0.0, (vm @ m_obs) / np.maximum(denom, 1e-300), 0.0)
     else:
         vmax = v4.max(axis=1)
         b0 = np.where(vmax > 0.0, m_obs[-1] / np.maximum(vmax, 1e-300), 0.0)
-    mags_grid = v4 * b0[:, None]
-    if n in (4, 8):
-        scores = np.sqrt(np.mean((np.sort(np.repeat(mags_grid, repeats, axis=1), axis=1)
-                                  - m_obs[None, :]) ** 2, axis=1))
-    else:
-        diff = np.abs(m_obs[None, :, None] - mags_grid[:, None, :])
-        scores = np.sqrt((np.sum(diff.min(axis=2) ** 2, axis=1)
-                          + np.sum(diff.min(axis=1) ** 2, axis=1)) / (n + 4))
+    scores = np.sqrt(np.mean(_shift_residuals(m_obs, v4 * b0[:, None]) ** 2, axis=1))
 
-    order = np.argsort(scores, kind="stable")[:max(1, n_refine)]
+    if b_fixed is None:
+        fun = lambda x: _shift_residuals(m_obs, _axis_magnitudes(x[0], x[1], abs(x[2])))
+    else:
+        fun = lambda x: _shift_residuals(m_obs, _axis_magnitudes(x[0], x[1], b_fixed))
     best = None
-    for i in order:
-        theta0, phi0 = _spherical_angles(bhats[i])
-        if b_fixed is not None:
-            fun = lambda x: residual_vec(x[0], x[1], b_fixed)
-            x0 = [theta0, phi0]
-        else:
-            fun = lambda x: residual_vec(x[0], x[1], abs(x[2]))
-            x0 = [theta0, phi0, max(float(b0[i]), 1e-6)]
+    for i in np.argsort(scores, kind="stable")[:_N_REFINE]:
+        x0 = list(_spherical_angles(bhats[i]))
+        if b_fixed is None:
+            x0.append(max(float(b0[i]), 1e-6))
         fit = least_squares(fun, x0, method="lm", xtol=1e-15, ftol=1e-15,
                             gtol=1e-15, max_nfev=400)
         theta_f, phi_f = _wrap_solution_angles(fit.x[0], fit.x[1])
@@ -351,53 +343,37 @@ class RotationReport:
     merged_central_pair: bool   # the second spectrum resolves fewer dips per side
 
 
-def _solve_at_fixed_field(peaks: PeakList, b_fixed: float,
-                          constants: PhysicalConstants,
-                          spacing_tolerance: float,
-                          b_tolerance_gauss: float, **kwargs) -> EsrSolution:
-    shifts = _equidistant_shifts(peaks, constants, spacing_tolerance)
-    if shifts is not None:
-        try:
-            theta, phi, b = equidistant_inversion(shifts[0], shifts[1], constants)
-        except ValueError:
-            b = None
-        if b is not None and abs(b - b_fixed) <= b_tolerance_gauss:
-            residual = _solution_residual(theta, phi, b, peaks, constants)
-            return _finish_solution(theta, phi, b, residual, method="equidistant")
-    return solve_general(peaks, constants=constants, b_fixed=b_fixed, **kwargs)
-
-
 def compare_orientations(before: PeakList, after: PeakList, b_fixed: float,
-                         constants: PhysicalConstants = CONSTANTS,
-                         spacing_tolerance: float = 0.05,
-                         b_tolerance_gauss: float = 2.0,
-                         extremal_tolerance: float = 0.02,
-                         **general_kwargs) -> RotationReport:
+                         spacing_tolerance: float = 0.05) -> RotationReport:
     """Solve two dip lists at a common field and report the implied rotation.
 
-    The outermost dips of the two spectra are compared as a diagnostic
-    rather than enforced as a constraint, since an exactly preserved extreme
-    is generally inconsistent with the projection model; the merged-pair
-    flag records that the second spectrum resolves fewer dips on each side
-    of the central frequency.  Solver failures propagate.
+    Each list takes the closed-form path when it is equidistant and its
+    closed-form field lies within 2 G of ``b_fixed``, and the general solver
+    at ``b_fixed`` otherwise.  The outermost dips of the two spectra are
+    compared (within 2 % of the first) as a diagnostic rather than enforced
+    as a constraint, since an exactly preserved extreme is generally
+    inconsistent with the projection model; the merged-pair flag records
+    that the second spectrum resolves fewer dips on each side of the
+    central frequency.  Solver failures propagate.
     """
     if not (b_fixed > 0.0):
         raise ValueError("b_fixed must be > 0")
-    sol_before = _solve_at_fixed_field(before, b_fixed, constants,
-                                       spacing_tolerance, b_tolerance_gauss,
-                                       **general_kwargs)
-    sol_after = _solve_at_fixed_field(after, b_fixed, constants,
-                                      spacing_tolerance, b_tolerance_gauss,
-                                      **general_kwargs)
-    d = constants.zero_field_splitting_hz
+    sols = []
+    for peaks in (before, after):
+        sol, _ = _closed_form(peaks, spacing_tolerance)
+        if sol is None or abs(sol.b_gauss - b_fixed) > _COMPARE_B_TOLERANCE_GAUSS:
+            sol = solve_general(peaks, b_fixed=b_fixed)
+        sols.append(sol)
+    d = CONSTANTS.zero_field_splitting_hz
     ext_before = float(np.max(np.abs(before.frequencies - d)))
     ext_after = float(np.max(np.abs(after.frequencies - d)))
     pos_before = int(np.sum(before.frequencies > d))
     pos_after = int(np.sum(after.frequencies > d))
     return RotationReport(
-        before=sol_before,
-        after=sol_after,
+        before=sols[0],
+        after=sols[1],
         extremal_shift_hz=ext_after - ext_before,
-        extremal_match=abs(ext_after - ext_before) <= extremal_tolerance * max(ext_before, 1.0),
+        extremal_match=(abs(ext_after - ext_before)
+                        <= _EXTREMAL_MATCH_TOLERANCE * max(ext_before, 1.0)),
         merged_central_pair=pos_after < pos_before,
     )

@@ -9,14 +9,13 @@ import numpy as np
 from .errors import SolverError
 
 
-def dominant_frequency(t: np.ndarray, x: np.ndarray, f_max: float,
-                       significance: float = 5.0) -> float:
+def dominant_frequency(t: np.ndarray, x: np.ndarray, f_max: float) -> float:
     """Angular frequency (rad/s) of the dominant spectral peak below ``f_max`` Hz.
 
     Applies a Hann window and refines the FFT peak with parabolic
     interpolation of log magnitude, so the result is far more accurate than
     one frequency bin.  Raises SolverError when no peak below ``f_max``
-    exceeds ``significance`` times the median in-band magnitude.
+    exceeds five times the median in-band magnitude.
     """
     t = np.asarray(t, dtype=float)
     x = np.asarray(x, dtype=float)
@@ -37,9 +36,7 @@ def dominant_frequency(t: np.ndarray, x: np.ndarray, f_max: float,
 
     med = float(np.median(amp[band]))
     i = int(np.flatnonzero(band)[np.argmax(amp[band])])
-    if med > 0.0 and amp[i] < significance * med:
-        raise SolverError("no dominant spectral peak below the requested cutoff")
-    if med == 0.0 and amp[i] == 0.0:
+    if amp[i] == 0.0 or amp[i] < 5.0 * med:
         raise SolverError("no dominant spectral peak below the requested cutoff")
 
     # parabolic refinement in log magnitude; guard the array edges

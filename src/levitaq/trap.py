@@ -27,12 +27,12 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Optional, Sequence
 
 import numpy as np
 
-from .core import Particle, particle_mass
+from .core import CONSTANTS, Particle, particle_mass
 from .errors import ConvergenceError, PhysicsError, UntrappedParticleError
 
 # Single-parameter stability limit of the cosine-driven oscillator
@@ -43,6 +43,8 @@ ESCAPE_RADIUS_FACTOR = 100.0  # escape flagged at |coordinate| > 100 * z0
 MIN_STEPS_PER_DRIVE_PERIOD = 200
 _BLOCK = 1024  # RK4 steps whose transfer matrices are built and composed at once
 _STAGES = np.array([[0.0], [0.5], [1.0]])  # step fractions where RK4 samples the stiffness
+_FLOQUET_RTOL = 1e-9  # relative change of the monodromy trace counted as converged
+_FLOQUET_MAX_STEPS = 1 << 20  # steps per period beyond which convergence is given up
 
 
 @dataclass(frozen=True)
@@ -192,8 +194,7 @@ def _prefix_products(m: np.ndarray) -> np.ndarray:
     return p
 
 
-def floquet_stability(a: float, q: float, rtol: float = 1e-9,
-                      max_steps: int = 1 << 20) -> FloquetResult:
+def floquet_stability(a: float, q: float) -> FloquetResult:
     """Stability of u'' + (a - 2 q cos 2 tau) u = 0 from its monodromy matrix.
 
     Integrates the two fundamental solutions over one drive period
@@ -217,9 +218,9 @@ def floquet_stability(a: float, q: float, rtol: float = 1e-9,
     while True:
         n *= 2
         cur = trace_for(n)
-        if abs(cur - prev) <= rtol * max(1.0, abs(cur)):
+        if abs(cur - prev) <= _FLOQUET_RTOL * max(1.0, abs(cur)):
             return FloquetResult(stable=abs(cur) <= 2.0, trace=cur)
-        if n > max_steps:
+        if n > _FLOQUET_MAX_STEPS:
             raise ConvergenceError(
                 f"monodromy trace not converged: n={n}, "
                 f"last traces {prev:.6e} -> {cur:.6e}")
@@ -338,9 +339,7 @@ def frequency_ramp_instability(trap: TrapConfig, p: Particle,
     if seed_displacement is None:
         seed_displacement = 0.5 * trap.z0
 
-    trap_start = TrapConfig(v_ac=trap.v_ac, drive_freq=omega_start, z0=trap.z0,
-                            eta=trap.eta, xi=trap.xi, damping_gamma=trap.damping_gamma)
-    wz0 = secular_frequency(trap_start, p)
+    wz0 = secular_frequency(replace(trap, drive_freq=omega_start), p)
     t_sec = 2.0 * math.pi / wz0
     if ramp_rate * t_sec > 0.01 * omega_start:
         warnings.warn("ramp changes the drive by more than 1% per secular period; "
@@ -366,11 +365,10 @@ def frequency_ramp_instability(trap: TrapConfig, p: Particle,
     raise PhysicsError("stable over full ramp: no instability detected")
 
 
-def dc_offset_displacement(trap: TrapConfig, p: Particle, v_dc: float,
-                           geometry_factor: float = 1.0) -> float:
+def dc_offset_displacement(trap: TrapConfig, p: Particle, v_dc: float) -> float:
     """Signed equilibrium shift (m) along z from a static offset voltage.
 
-    The static field is linearized as E_dc = geometry_factor * v_dc / z0,
+    The static field is linearized as E_dc = v_dc / z0,
     pointing along +z for positive v_dc, so the shift Q*E_dc/(m*omega_z^2)
     flips sign with the particle charge: a negatively charged particle moves
     toward -z under positive voltage.
@@ -379,16 +377,15 @@ def dc_offset_displacement(trap: TrapConfig, p: Particle, v_dc: float,
         raise UntrappedParticleError("uncharged particle does not respond harmonically")
     wz = secular_frequency(trap, p)
     m = particle_mass(p)
-    e_dc = geometry_factor * v_dc / trap.z0
+    e_dc = v_dc / trap.z0
     return p.total_charge * e_dc / (m * wz ** 2)
 
 
-def radiation_pressure_force(laser: LaserConfig,
-                             speed_of_light: float = 299792458.0) -> float:
+def radiation_pressure_force(laser: LaserConfig) -> float:
     """Axial momentum-transfer force (N): (2 R P / c) * sinc(theta_m)."""
     th = laser.half_aperture
     sinc = math.sin(th) / th if th != 0.0 else 1.0
-    return 2.0 * laser.reflection_coeff * laser.power / speed_of_light * sinc
+    return 2.0 * laser.reflection_coeff * laser.power / CONSTANTS.speed_of_light * sinc
 
 
 def equilibrium_displacement(force: float, p: Particle, omega_x: float) -> float:

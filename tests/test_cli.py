@@ -95,6 +95,11 @@ class TestPhysicsAndSolverExitCodes:
         ("trap-sim", "--charge-e", "nan"),
         ("angular-sim", "--dt-s", "0"),
         ("radiation", "--seed", "0"),  # the key no longer exists
+        ("esr-broadened", "--n-cells", "0"),
+        # keys that changed no output and were removed
+        ("trap-sim", "--xi-v-m2", "1e6"),
+        ("ramp-infer", "--drive-frequency-hz", "5000"),
+        ("radiation", "--charge-e", "-5000"),
     ])
     def test_malformed_numeric_input_exits_1_with_one_line(self, tmp_path, capsys, argv):
         code, out, err = run_cli(capsys, *argv, "--out", str(tmp_path))
@@ -102,6 +107,14 @@ class TestPhysicsAndSolverExitCodes:
         assert out == ""
         assert len(err.strip().splitlines()) == 1
         assert "Traceback" not in err
+
+    def test_negative_exponent_value_parses(self, tmp_path, capsys):
+        code, _, err = run_cli(capsys, "trap-sim", "--initial-z-m", "-1e-6",
+                               "--t-end-s", "1e-4", "--out", str(tmp_path))
+        assert code == 0, err
+        resolved = (tmp_path / "trap-sim" / "resolved.cfg").read_text().splitlines()
+        kv = dict(line.split(" = ") for line in resolved)
+        assert float(kv["initial_z_m"]) == -1e-6
 
 
 class TestPipelines:

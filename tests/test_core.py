@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -27,6 +29,18 @@ def test_degenerate_geometry_rejected():
         Particle.ellipsoid(1e-6, -1e-6, 1e-6)
     with pytest.raises(ValueError):
         Particle.sphere(diameter=1e-6, density=0.0)
+
+
+@pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan])
+@pytest.mark.parametrize("field", ["semi_axis", "density", "total_charge"])
+def test_non_finite_particle_rejected(field, bad):
+    kwargs = {"semi_axes": (1e-6, 1e-6, 1e-6), "density": 3510.0, "total_charge": 0.0}
+    if field == "semi_axis":
+        kwargs["semi_axes"] = (1e-6, bad, 1e-6)
+    else:
+        kwargs[field] = bad
+    with pytest.raises(ValueError, match="finite"):
+        Particle(**kwargs)
 
 
 def test_ellipsoid_with_equal_axes_matches_sphere():

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from levitaq.core import CONSTANTS, nv_axes
+from levitaq.core import nv_axes
 from levitaq.errors import SolverError
 from levitaq.esr import (FieldOrientation, LineModel, Spectrum,
                          extremal_field_estimate, rotation_broadened_spectrum,
@@ -34,6 +34,13 @@ class TestFieldOrientation:
     def test_theta_wraps(self):
         f = FieldOrientation(b_gauss=1.0, theta=2.5 * math.pi, phi=0.3)
         assert f.theta == pytest.approx(0.5 * math.pi)
+
+    @pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan])
+    @pytest.mark.parametrize("field", ["b_gauss", "theta"])
+    def test_non_finite_values_rejected(self, field, bad):
+        kwargs = {"b_gauss": 1.0, "theta": 0.0, "phi": 0.3, field: bad}
+        with pytest.raises(ValueError, match="finite"):
+            FieldOrientation(**kwargs)
 
     def test_invalid_values_rejected(self):
         with pytest.raises(ValueError):
@@ -294,7 +301,7 @@ class TestExtremalFieldEstimate:
 
 
 def test_inversion_matches_reference_angles():
-    theta, phi, b = equidistant_inversion(0.37e9, 0.25e9, CONSTANTS)
+    theta, phi, b = equidistant_inversion(0.37e9, 0.25e9)
     assert theta == pytest.approx(THETA_REF, rel=1e-12)
     assert phi == pytest.approx(PHI_REF, rel=1e-9)
     assert b == pytest.approx(B_REF, rel=1e-9)
