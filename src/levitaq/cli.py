@@ -6,8 +6,9 @@ artifacts plus a ``resolved.cfg`` provenance file into a run directory.  All
 frequencies in configs and summaries are ordinary Hz; conversion to angular
 rates happens only at this boundary.
 
-Exit codes: 0 success, 1 malformed config or input file, 2 physics-domain
-error, 3 solver or convergence failure.
+Exit codes: 0 success, 1 malformed config or input file, or a file that
+cannot be read or written, 2 physics-domain error, 3 solver or convergence
+failure.
 """
 
 from __future__ import annotations
@@ -450,10 +451,7 @@ def run(argv=None) -> int:
         summary = _RUNNERS[sub](cfg, run_dir)
         print(f"{summary} out={run_dir}")
         return 0
-    except ConfigError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except ValueError as exc:
+    except (ConfigError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except PhysicsError as exc:

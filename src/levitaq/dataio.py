@@ -28,25 +28,23 @@ def _fmt(x: float) -> str:
     return f"{x:.17g}"
 
 
+def _write_rows(path, header: str, columns) -> None:
+    """Write equal-length float columns as CSV rows, each formatted by one template."""
+    template = ",".join(["%.17g"] * len(columns))
+    rows = zip(*(np.asarray(c).tolist() for c in columns))
+    Path(path).write_text("\n".join([header, *(template % row for row in rows)]) + "\n")
+
+
 def write_trajectory(path, traj: Trajectory) -> None:
-    lines = [TRAJECTORY_HEADER]
-    for t, p, v in zip(traj.t, traj.positions, traj.velocities):
-        lines.append(",".join(_fmt(val) for val in (t, p[0], p[1], p[2], v[0], v[1], v[2])))
-    Path(path).write_text("\n".join(lines) + "\n")
+    _write_rows(path, TRAJECTORY_HEADER, [traj.t, *traj.positions.T, *traj.velocities.T])
 
 
 def write_angle_trajectory(path, traj: AngleTrajectory) -> None:
-    lines = [ANGLE_HEADER]
-    for t, a, ad in zip(traj.t, traj.alpha, traj.alpha_dot):
-        lines.append(f"{_fmt(t)},{_fmt(a)},{_fmt(ad)}")
-    Path(path).write_text("\n".join(lines) + "\n")
+    _write_rows(path, ANGLE_HEADER, [traj.t, traj.alpha, traj.alpha_dot])
 
 
 def write_spectrum(path, spectrum: Spectrum) -> None:
-    lines = [SPECTRUM_HEADER]
-    for f, v in zip(spectrum.frequencies, spectrum.values):
-        lines.append(f"{_fmt(f)},{_fmt(v)}")
-    Path(path).write_text("\n".join(lines) + "\n")
+    _write_rows(path, SPECTRUM_HEADER, [spectrum.frequencies, spectrum.values])
 
 
 def ingest_spectrum(path) -> Spectrum:

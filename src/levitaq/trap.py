@@ -18,9 +18,10 @@ as the stability oracle for the simulation-level operations.
 All three integrators here -- the Floquet monodromy, the trajectory and the
 frequency ramp -- solve a linear ODE with time-dependent stiffness, so they
 share one propagator: each fixed RK4 step is a 3x3 transfer matrix on
-(u, u', f), built for a block of steps at once.  The monodromy is the ordered
-product of a period's step matrices; trajectories and ramps take prefix
-products within each block and check for escape per block.
+(u, u', f), built elementwise for a block of steps at once, and a chunked
+scan whose work is linear in the step count gives the state after every
+step of the block.  The monodromy carries the two fundamental solutions over
+one period; trajectories and ramps check for escape per block.
 """
 
 from __future__ import annotations
@@ -41,7 +42,7 @@ STABILITY_Q_MAX = 0.908
 
 ESCAPE_RADIUS_FACTOR = 100.0  # escape flagged at |coordinate| > 100 * z0
 MIN_STEPS_PER_DRIVE_PERIOD = 200
-_BLOCK = 1024  # RK4 steps whose transfer matrices are built and composed at once
+_BLOCK = 4096  # RK4 steps whose transfer matrices are built and composed at once
 _STAGES = np.array([[0.0], [0.5], [1.0]])  # step fractions where RK4 samples the stiffness
 _FLOQUET_RTOL = 1e-9  # relative change of the monodromy trace counted as converged
 _FLOQUET_MAX_STEPS = 1 << 20  # steps per period beyond which convergence is given up
@@ -165,33 +166,59 @@ def _rk4_transfer(k0, kh, k1, gamma: float, h: float) -> np.ndarray:
 
     k0, kh and k1 hold the stiffness at the start, midpoint and end of each
     step.  Matrix i maps (u, u', f) at the start of step i to its end; the
-    constant acceleration f rides along as the affine column.
+    constant acceleration f rides along as the affine column.  Every stage
+    matrix I + c S of the scheme has bottom row (0, 0, 1), so each stage is
+    carried as its top two rows, computed elementwise over the steps.
     """
-    def generator(k):
-        b = np.zeros(np.shape(k) + (3, 3))
-        b[..., 0, 1] = 1.0
-        b[..., 1, 0] = -k
-        b[..., 1, 1] = -gamma
-        b[..., 1, 2] = 1.0
-        return b
+    eye = np.eye(3).reshape((3, 3) + (1,) * k0.ndim)  # row, column, then the step axes
 
-    eye = np.eye(3)
-    bh = generator(kh)
-    s1 = generator(k0)
-    s2 = bh @ (eye + 0.5 * h * s1)
-    s3 = bh @ (eye + 0.5 * h * s2)
-    s4 = generator(k1) @ (eye + h * s3)
-    return eye + h / 6.0 * (s1 + 2.0 * s2 + 2.0 * s3 + s4)
+    def b_times(k, x0, x1):
+        # top rows of [[0, 1, 0], [-k, -gamma, 1], [0, 0, 0]] @ [x0; x1; (0, 0, 1)]
+        return x1, -k * x0 - gamma * x1 + eye[2]
+
+    def stage(k, s, c):
+        return b_times(k, eye[0] + c * s[0], eye[1] + c * s[1])
+
+    s1 = b_times(k0, eye[0], eye[1])
+    s2 = stage(kh, s1, 0.5 * h)
+    s3 = stage(kh, s2, 0.5 * h)
+    s4 = stage(k1, s3, h)
+    m = np.empty(k0.shape + (3, 3))
+    for row in range(2):
+        top = eye[row] + h / 6.0 * (s1[row] + 2.0 * s2[row] + 2.0 * s3[row] + s4[row])
+        m[..., row, :] = np.moveaxis(top, 0, -1)
+    m[..., 2, :] = (0.0, 0.0, 1.0)
+    return m
 
 
-def _prefix_products(m: np.ndarray) -> np.ndarray:
-    """Inclusive ordered prefix products m[i] @ ... @ m[0] along the first axis."""
-    p = m.copy()
-    d = 1
-    while d < len(p):
-        p[d:] = p[d:] @ p[:-d]
-        d *= 2
-    return p
+def _propagate(m: np.ndarray, state: np.ndarray) -> np.ndarray:
+    """States m[i] @ ... @ m[0] @ state after every step i, in O(n) work.
+
+    m holds n step matrices along its first axis, followed by batch axes that
+    match the leading axes of state (shape (..., 3, k)).  The steps are cut
+    into about sqrt(n) chunks of equal width: one pass over the positions
+    within a chunk forms every chunk's prefix products at once, one mat-vec
+    per chunk carries the state from chunk to chunk, and one batched matmul
+    applies each chunk's prefixes to the state entering it.
+    """
+    n = len(m)
+    width = math.isqrt(n - 1) + 1
+    chunks = -(-n // width)
+    if chunks * width > n:  # pad the last chunk with identity steps
+        m = np.concatenate([m, np.broadcast_to(np.eye(3), (chunks * width - n,) + m.shape[1:])])
+    # axes: chunk, batch axes, position within the chunk, matrix rows and columns
+    m = np.moveaxis(m.reshape((chunks, width) + m.shape[1:]), 1, -3)
+    prefix = np.empty(m.shape)
+    prefix[..., 0, :, :] = m[..., 0, :, :]
+    for j in range(1, width):
+        np.matmul(m[..., j, :, :], prefix[..., j - 1, :, :], out=prefix[..., j, :, :])
+    entry = [state]
+    for i in range(chunks - 1):
+        entry.append(prefix[i, ..., -1, :, :] @ entry[-1])
+    # a chunk's prefixes, stacked into one (width * 3, 3) matrix, times its entry state
+    out = prefix.reshape(prefix.shape[:-3] + (-1, 3)) @ np.stack(entry)
+    out = np.moveaxis(out.reshape(m.shape[:-1] + state.shape[-1:]), -3, 1)
+    return out.reshape((chunks * width,) + out.shape[2:])[:n]
 
 
 def floquet_stability(a: float, q: float) -> FloquetResult:
@@ -206,12 +233,12 @@ def floquet_stability(a: float, q: float) -> FloquetResult:
 
     def trace_for(n: int) -> float:
         h = math.pi / n
-        mono = np.eye(3)
+        basis = np.eye(3)[:, :2]  # the two fundamental solutions; no forcing
         for k in range(0, n, _BLOCK):
             tau = np.arange(k, min(k + _BLOCK, n)) * h
             c = a - 2.0 * q * np.cos(2.0 * (tau + _STAGES * h))
-            mono = _prefix_products(_rk4_transfer(*c, 0.0, h))[-1] @ mono
-        return float(mono[0, 0] + mono[1, 1])
+            basis = _propagate(_rk4_transfer(*c, 0.0, h), basis)[-1]
+        return float(basis[0, 0] + basis[1, 1])
 
     n = 1024
     prev = trace_for(n)
@@ -285,11 +312,10 @@ def integrate_motion(trap: TrapConfig, p: Particle,
     for k in range(0, n_steps, _BLOCK):
         t = np.arange(k, min(k + _BLOCK, n_steps)) * dt
         c = cd * np.cos(om * (t + _STAGES * dt))
-        # the x and y axes share the radial stiffness -c/2, z has stiffness c
-        prod = _prefix_products(_rk4_transfer(*(c[..., None] * (-0.5, 1.0)),
-                                              trap.damping_gamma, dt))
-        states = np.concatenate([prod[:, 0] @ state[:, :2], prod[:, 1] @ state[:, 2:]],
-                                axis=2)
+        # the x and y axes share the radial stiffness -c/2, z (taken twice) has stiffness c
+        prop = _propagate(_rk4_transfer(*(c[..., None] * (-0.5, 1.0)), trap.damping_gamma, dt),
+                          np.stack([state[:, :2], state[:, [2, 2]]]))
+        states = np.concatenate([prop[:, 0], prop[:, 1, :, :1]], axis=2)
         step = np.arange(k + 1, k + 1 + len(t))
         keep = (step % store_every == 0) | (step == n_steps)
         out = np.flatnonzero(np.any(np.abs(states[:, 0]) > esc, axis=1))
@@ -347,7 +373,7 @@ def frequency_ramp_instability(trap: TrapConfig, p: Particle,
 
     k_acc = p.total_charge * trap.eta * trap.v_ac / (m * trap.z0 ** 2)
     esc = ESCAPE_RADIUS_FACTOR * trap.z0
-    state = np.array([seed_displacement, 0.0, 0.0])
+    state = np.array([[seed_displacement], [0.0], [0.0]])
     n_steps = math.ceil((omega_start - omega_end) / ramp_rate / dt)
 
     for k in range(0, n_steps, _BLOCK):
@@ -356,8 +382,8 @@ def frequency_ramp_instability(trap: TrapConfig, p: Particle,
         # left-sum drive phase accumulated over steps 0 .. j-1
         phase = dt * j * (omega_start - ramp_rate * dt * (j - 1) / 2.0)
         c = k_acc * np.cos(phase + _STAGES * (om_t * dt))
-        states = _prefix_products(_rk4_transfer(*c, trap.damping_gamma, dt)) @ state
-        out = np.flatnonzero(np.abs(states[:, 0]) > esc)
+        states = _propagate(_rk4_transfer(*c, trap.damping_gamma, dt), state)
+        out = np.flatnonzero(np.abs(states[:, 0, 0]) > esc)
         if out.size:
             return float(omega_start - ramp_rate * ((j[out[0]] + 1) * dt))
         state = states[-1]

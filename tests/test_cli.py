@@ -108,6 +108,16 @@ class TestPhysicsAndSolverExitCodes:
         assert len(err.strip().splitlines()) == 1
         assert "Traceback" not in err
 
+    def test_unwritable_output_root_exits_1_with_one_line(self, tmp_path, capsys):
+        blocker = tmp_path / "file"
+        blocker.write_text("")
+        code, out, err = run_cli(capsys, "radiation", "--out", str(blocker / "x"))
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error: ")
+        assert len(err.strip().splitlines()) == 1
+        assert "Traceback" not in err
+
     def test_negative_exponent_value_parses(self, tmp_path, capsys):
         code, _, err = run_cli(capsys, "trap-sim", "--initial-z-m", "-1e-6",
                                "--t-end-s", "1e-4", "--out", str(tmp_path))

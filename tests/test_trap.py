@@ -1,10 +1,14 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.optimize import brentq
 from scipy.special import mathieu_a, mathieu_b
 
+from levitaq import trap as trap_module
 from levitaq.core import Particle, particle_mass
 from levitaq.errors import PhysicsError, UntrappedParticleError
 from levitaq.spectral import dominant_frequency
@@ -250,6 +254,159 @@ class TestFrequencyRamp:
         with pytest.warns(UserWarning, match="secular period"):
             frequency_ramp_instability(trap, p, om_start, 0.4 * om_start,
                                        ramp_rate=0.05 * om_start / t_sec)
+
+
+def rk4_reference(stiffness, gamma, accel, x0, v0, dt, n_steps, esc):
+    """Plain per-step RK4 of u'' = -stiffness(j, frac) * u - gamma * u' + accel.
+
+    stiffness(j, frac) gives the per-axis stiffness at fraction frac of step j.
+    Returns the states after steps 1 .. n, stopping at the first step where a
+    coordinate exceeds esc, and that step's number (None if none escapes).
+    """
+    def deriv(j, frac, u, v):
+        return v, -stiffness(j, frac) * u - gamma * v + accel
+
+    u, v = np.array(x0, dtype=float), np.array(v0, dtype=float)
+    us, vs = [], []
+    for j in range(n_steps):
+        k1u, k1v = deriv(j, 0.0, u, v)
+        k2u, k2v = deriv(j, 0.5, u + 0.5 * dt * k1u, v + 0.5 * dt * k1v)
+        k3u, k3v = deriv(j, 0.5, u + 0.5 * dt * k2u, v + 0.5 * dt * k2v)
+        k4u, k4v = deriv(j, 1.0, u + dt * k3u, v + dt * k3v)
+        u = u + dt / 6.0 * (k1u + 2.0 * k2u + 2.0 * k3u + k4u)
+        v = v + dt / 6.0 * (k1v + 2.0 * k2v + 2.0 * k3v + k4v)
+        us.append(u)
+        vs.append(v)
+        if np.any(np.abs(u) > esc):
+            return np.array(us), np.array(vs), j + 1
+    return np.array(us), np.array(vs), None
+
+
+class TestPropagatorOracle:
+    """The block propagator against a plain per-step RK4 loop."""
+
+    @staticmethod
+    def motion_reference(trap, p, forces, t_end, dt, x0, v0, store_every):
+        m = particle_mass(p)
+        cd = p.total_charge * trap.eta * trap.v_ac / (m * trap.z0 ** 2)
+        axes = np.array([-0.5, -0.5, 1.0])
+        accel = np.sum(forces, axis=0) / m if forces else np.zeros(3)
+        n_steps = max(1, int(round(t_end / dt)))
+        us, vs, escape_step = rk4_reference(
+            lambda j, frac: axes * (cd * math.cos(trap.drive_freq * (j * dt + frac * dt))),
+            trap.damping_gamma, accel, x0, v0, dt, n_steps,
+            trap_module.ESCAPE_RADIUS_FACTOR * trap.z0)
+        steps = np.arange(1, len(us) + 1)
+        keep = (steps % store_every == 0) | (steps == n_steps) | (steps == escape_step)
+        return (np.concatenate([[0], steps[keep]]) * dt,
+                np.concatenate([[x0], us[keep]]), np.concatenate([[v0], vs[keep]]),
+                escape_step)
+
+    def assert_motion_matches(self, trap, p, t_end, dt, x0, v0=(0.0, 0.0, 0.0),
+                              forces=None, store_every=1):
+        traj = integrate_motion(trap, p, forces=forces, t_end=t_end, dt=dt, x0=x0, v0=v0,
+                                store_every=store_every)
+        t, pos, vel, escape_step = self.motion_reference(trap, p, forces, t_end, dt,
+                                                         x0, v0, store_every)
+        np.testing.assert_array_equal(traj.t, t)
+        np.testing.assert_allclose(traj.positions, pos, rtol=0,
+                                   atol=1e-12 * np.abs(pos).max())
+        np.testing.assert_allclose(traj.velocities, vel, rtol=0,
+                                   atol=1e-12 * np.abs(vel).max())
+        assert traj.escaped == (escape_step is not None)
+        assert traj.escape_time == (None if escape_step is None else escape_step * dt)
+        return traj
+
+    @pytest.mark.parametrize("n_steps,store_every", [
+        (1, 1),
+        (trap_module._BLOCK - 3, 1),
+        (2 * trap_module._BLOCK + 13, 7),  # samples straddle both block edges
+    ])
+    def test_motion_matches_per_step_rk4(self, n_steps, store_every):
+        dt = 1e-6
+        self.assert_motion_matches(reference_trap(gamma=300.0), reference_particle(),
+                                   t_end=n_steps * dt, dt=dt, x0=(1e-6, -2e-6, 3e-6),
+                                   v0=(1e-3, 0.0, -1e-3),
+                                   forces=[(1e-15, 0.0, 2e-15), (0.0, -1e-15, 0.0)],
+                                   store_every=store_every)
+
+    @pytest.mark.parametrize("axis,escape_step", [
+        (2, 1),  # first step of the first block
+        (0, trap_module._BLOCK),  # last step of the first block
+        (1, trap_module._BLOCK + 1),  # first step of the second block
+    ])
+    def test_escape_step_matches_per_step_rk4(self, axis, escape_step):
+        # a nearly free particle crossing 100 z0 half a step before escape_step
+        trap, dt = reference_trap(), 1e-6
+        v0 = np.zeros(3)
+        v0[axis] = 100.0 * trap.z0 / ((escape_step - 0.5) * dt)
+        traj = self.assert_motion_matches(trap, reference_particle(charge_e=1e-6),
+                                          t_end=2.5 * trap_module._BLOCK * dt, dt=dt,
+                                          x0=(0.0, 0.0, 0.0), v0=tuple(v0), store_every=5)
+        assert traj.escape_time == escape_step * dt
+
+    def test_unstable_drive_matches_per_step_rk4(self):
+        p = reference_particle()
+        om = math.sqrt(2.0 * abs(p.total_charge) * 4000.0 * 0.2
+                       / (particle_mass(p) * 1.2 * (50e-6) ** 2))  # q = 1.2
+        trap = TrapConfig(v_ac=4000.0, drive_freq=om, z0=50e-6, eta=0.2)
+        traj = self.assert_motion_matches(trap, p, t_end=0.1, dt=3e-7,
+                                          x0=(1e-6, 0.0, 1e-6), store_every=3)
+        assert traj.escaped
+
+    @staticmethod
+    def ramp_reference(trap, p, omega_start, omega_end, ramp_rate, seed_displacement):
+        dt = 2.0 * math.pi / (trap_module.MIN_STEPS_PER_DRIVE_PERIOD * omega_start)
+        k_acc = p.total_charge * trap.eta * trap.v_ac / (particle_mass(p) * trap.z0 ** 2)
+
+        def stiffness(j, frac):
+            phase = dt * j * (omega_start - ramp_rate * dt * (j - 1) / 2.0)
+            return k_acc * math.cos(phase + frac * ((omega_start - ramp_rate * (j * dt)) * dt))
+
+        n_steps = math.ceil((omega_start - omega_end) / ramp_rate / dt)
+        _, _, escape_step = rk4_reference(stiffness, trap.damping_gamma, 0.0,
+                                          seed_displacement, 0.0, dt, n_steps,
+                                          trap_module.ESCAPE_RADIUS_FACTOR * trap.z0)
+        return omega_start - ramp_rate * (escape_step * dt), escape_step
+
+    @pytest.mark.parametrize("seed_factor,first_step", [(0.5, False), (200.0, True)])
+    def test_ramp_matches_per_step_rk4(self, seed_factor, first_step):
+        p = reference_particle()
+        trap = reference_trap(gamma=20.0)
+        om_start = math.sqrt(2.0 * abs(p.total_charge) * trap.v_ac * trap.eta
+                             / (particle_mass(p) * 0.85 * trap.z0 ** 2))  # q = 0.85
+        t_sec = TWO_PI / secular_frequency(replace(trap, drive_freq=om_start), p)
+        rate = 0.005 * om_start / t_sec
+        seed = seed_factor * trap.z0
+        om_ref, escape_step = self.ramp_reference(trap, p, om_start, 0.5 * om_start, rate,
+                                                  seed)
+        assert (escape_step == 1) == first_step
+        if not first_step:  # the escape lies past a block edge, off the chunk grid
+            assert escape_step > trap_module._BLOCK
+        om = frequency_ramp_instability(trap, p, om_start, 0.5 * om_start, rate,
+                                        seed_displacement=seed)
+        assert om == om_ref
+
+
+@settings(derandomize=True, max_examples=40, deadline=None)
+@given(n=st.integers(1, 700), batch=st.sampled_from([(), (2,)]), k=st.integers(1, 3),
+       seed=st.integers(0, 2 ** 32 - 1))
+def test_propagate_matches_sequential_products(n, batch, k, seed):
+    rng = np.random.default_rng(seed)
+    m = np.eye(3) + 0.1 * rng.standard_normal((n,) + batch + (3, 3))
+    state = rng.standard_normal(batch + (3, k))
+    out = trap_module._propagate(m, state)
+    ref, s = [], state
+    for step in m:
+        s = step @ s
+        ref.append(s)
+    ref = np.array(ref)
+    assert out.shape == ref.shape
+    # forward error bound of a product of i + 2 factors in any association order
+    bound = np.cumprod(np.abs(m).sum(axis=-1).max(axis=-1), axis=0) * np.abs(state).max()
+    steps = np.arange(2, n + 2).reshape((n,) + (1,) * len(batch))
+    err = np.abs(out - ref).max(axis=(-2, -1))
+    assert np.all(err <= 10.0 * np.finfo(float).eps * 3 * steps * bound)
 
 
 class TestDcOffset:
