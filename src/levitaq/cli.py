@@ -262,13 +262,15 @@ def _run_trap_sim(cfg: dict, run_dir: Path) -> str:
 
 
 def _run_stability_scan(cfg: dict, run_dir: Path) -> str:
-    qs = np.linspace(cfg["q_min"], cfg["q_max"], cfg["n_scan"])
+    if cfg["n_scan"] < 1:
+        raise ValueError("n_scan must be >= 1")
+    # the boundary search validates the range and tol before the scan runs
+    boundary = find_stability_boundary(cfg["a"], cfg["q_min"], cfg["q_max"], cfg["tol"])
     lines = ["q,trace,stable"]
-    for q in qs:
+    for q in np.linspace(cfg["q_min"], cfg["q_max"], cfg["n_scan"]):
         res = floquet_stability(cfg["a"], float(q))
         lines.append(f"{q:.17g},{res.trace:.17g},{int(res.stable)}")
     (run_dir / "scan.csv").write_text("\n".join(lines) + "\n")
-    boundary = find_stability_boundary(cfg["a"], cfg["q_min"], cfg["q_max"], cfg["tol"])
     (run_dir / "boundary.txt").write_text(f"q_boundary = {boundary:.17g}\n")
     return f"stability-scan: q_boundary={boundary:.5f} n_scan={cfg['n_scan']}"
 

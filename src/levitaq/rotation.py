@@ -28,7 +28,7 @@ import numpy as np
 from .core import Particle
 from .errors import ConvergenceError, SolverError
 from .spectral import dominant_frequency
-from .trap import MIN_STEPS_PER_DRIVE_PERIOD, FloquetResult, floquet_stability
+from .trap import FloquetResult, _fixed_step_count, floquet_stability
 
 _SHAPE_MAX_REFINEMENTS = 7  # grid doublings of the surface quadrature
 
@@ -120,22 +120,13 @@ def integrate_angle(params: AngularTrapParams, initial: AngularState,
     """Integrate the driven tilt equation with fixed-step RK4.
 
     Flags "angular escape" (and stops) when a run started near the alpha = 0
-    fixed point grows past pi/2.  Requires 0 < dt <= 2 pi / (200 Omega).
+    fixed point grows past pi/2.  Requires 0 < dt <= 2 pi / (200 Omega), and
+    at most 1e8 steps and 1e7 stored samples.
     """
     om = params.drive_freq
-    if not (dt > 0.0):
-        raise ValueError("dt must be > 0")
-    dt_max = 2.0 * math.pi / (MIN_STEPS_PER_DRIVE_PERIOD * om)
-    if dt > dt_max:
-        raise ValueError(f"dt too large: {dt:g} s exceeds drive-resolution limit {dt_max:g} s")
-    if not (0.0 < t_end < math.inf):
-        raise ValueError("t_end must be finite and > 0")
-    if store_every < 1:
-        raise ValueError("store_every must be >= 1")
-
+    n_steps = _fixed_step_count(t_end, dt, om, store_every)
     k = math.sqrt(2.0) * params.omega_alpha * om  # drive torque coefficient
     near_zero_start = abs(initial.alpha) < math.pi / 4.0
-    n_steps = max(1, int(round(t_end / dt)))
 
     al, ad = initial.alpha, initial.alpha_dot
     ts = [0.0]

@@ -28,6 +28,7 @@ _N_THETA, _N_PHI = 24, 12  # multi-start grid of solve_general
 _N_REFINE = 6  # best-scoring starts refined by least squares
 _COMPARE_B_TOLERANCE_GAUSS = 2.0  # closed-form field must match b_fixed this closely
 _EXTREMAL_MATCH_TOLERANCE = 0.02  # relative change of the outermost shift
+_FD_REL_STEP = math.sqrt(np.finfo(float).eps)  # scipy's default "2-point" relative step
 
 
 @dataclass
@@ -93,14 +94,13 @@ def detect_peaks(spectrum: Spectrum, min_depth: float, min_separation: float) ->
         v = np.convolve(padded, np.full(window, 1.0 / window), mode="valid")
 
     # leftmost point of any flat minimum plateau
-    idx = [i for i in range(1, v.size - 1)
-           if v[i] < v[i - 1] and v[i] <= v[i + 1]]
-    idx = [i for i in idx if v[i] < 1.0 - min_depth]
-    if not idx:
+    mid = v[1:-1]
+    idx = np.flatnonzero((mid < v[:-2]) & (mid <= v[2:]) & (mid < 1.0 - min_depth)) + 1
+    if not idx.size:
         raise SolverError("no dips above depth threshold")
 
-    freqs = [float(f[i]) for i in idx]
-    depths = [float(1.0 - v[i]) for i in idx]
+    freqs = f[idx].tolist()
+    depths = (1.0 - v[idx]).tolist()
     while len(freqs) > 1:
         gaps = np.diff(freqs)
         j = int(np.argmin(gaps))
@@ -112,13 +112,17 @@ def detect_peaks(spectrum: Spectrum, min_depth: float, min_separation: float) ->
     return PeakList(frequencies=np.array(freqs), depths=np.array(depths))
 
 
-def _signed_permutations():
-    for perm in itertools.permutations(range(3)):
-        for signs in itertools.product((1.0, -1.0), repeat=3):
-            mat = np.zeros((3, 3))
-            for row, (col, s) in enumerate(zip(perm, signs)):
-                mat[row, col] = s
-            yield mat
+def _signed_permutation_matrices() -> np.ndarray:
+    """The 48 signed permutations of the crystal-frame coordinates, (48, 3, 3)."""
+    mats = np.zeros((48, 3, 3))
+    pairs = itertools.product(itertools.permutations(range(3)),
+                              itertools.product((1.0, -1.0), repeat=3))
+    for mat, (perm, signs) in zip(mats, pairs):
+        mat[range(3), perm] = signs
+    return mats
+
+
+_SIGNED_PERMUTATIONS = _signed_permutation_matrices()
 
 
 def _spherical_angles(bhat: np.ndarray) -> tuple[float, float]:
@@ -135,8 +139,7 @@ def _orientation_class(theta: float, phi: float) -> tuple[list[tuple[float, floa
     bhat = FieldOrientation(b_gauss=1.0, theta=theta, phi=phi).unit_vector()
     members = {}
     continuous = False
-    for mat in _signed_permutations():
-        b2 = mat @ bhat
+    for b2 in _SIGNED_PERMUTATIONS @ bhat:
         th2, ph2 = _spherical_angles(b2)
         if math.sin(ph2) < 1e-9:
             continuous = True
@@ -261,6 +264,21 @@ def solve_equidistant(peaks: PeakList, spacing_tolerance: float = 0.05,
     return sol
 
 
+def _forward_jacobian(fun, x: np.ndarray) -> np.ndarray:
+    """Forward-difference Jacobian of ``fun`` at ``x`` with the steps of
+    scipy's default "2-point" scheme: h = sqrt(eps) * sign(x) * max(1, |x|)
+    with sign(0) = +1, each column divided by the representable step
+    (x + h) - x."""
+    f0 = fun(x)
+    h = _FD_REL_STEP * np.where(x >= 0.0, 1.0, -1.0) * np.maximum(1.0, np.abs(x))
+    jac = np.empty((f0.size, x.size))
+    for i in range(x.size):
+        x1 = x.copy()
+        x1[i] = x[i] + h[i]
+        jac[:, i] = (fun(x1) - f0) / (x1[i] - x[i])
+    return jac
+
+
 def _wrap_solution_angles(theta: float, phi: float) -> tuple[float, float]:
     phi = phi % (2.0 * math.pi)
     if phi > math.pi:
@@ -278,9 +296,12 @@ def solve_general(peaks: PeakList, residual_threshold_hz: float = 30e6,
     coincide at special orientations remain solvable (the orientation is
     then pinned only up to the matching family).  The coarse 24 x 12 start
     grid is scored with a closed-form field estimate, the six best starts
-    are refined, and the result is reported as the degeneracy-class
-    representative with smallest theta, then phi.  Raises when the best
-    residual exceeds ``residual_threshold_hz``.
+    are refined by Levenberg-Marquardt, and the result is reported as the
+    degeneracy-class representative with smallest theta, then phi.  The
+    refinement's Jacobian is a direct forward difference with scipy's
+    default "2-point" steps (``_forward_jacobian``), so the iterates are
+    those of scipy's own differencing.  Raises when the best residual
+    exceeds ``residual_threshold_hz``.
     """
     n = len(peaks)
     if n < 1:
@@ -309,12 +330,13 @@ def solve_general(peaks: PeakList, residual_threshold_hz: float = 30e6,
         fun = lambda x: _shift_residuals(m_obs, _axis_magnitudes(x[0], x[1], abs(x[2])))
     else:
         fun = lambda x: _shift_residuals(m_obs, _axis_magnitudes(x[0], x[1], b_fixed))
+    jac = lambda x: _forward_jacobian(fun, x)
     best = None
     for i in np.argsort(scores, kind="stable")[:_N_REFINE]:
         x0 = list(_spherical_angles(bhats[i]))
         if b_fixed is None:
             x0.append(max(float(b0[i]), 1e-6))
-        fit = least_squares(fun, x0, method="lm", xtol=1e-15, ftol=1e-15,
+        fit = least_squares(fun, x0, jac=jac, method="lm", xtol=1e-15, ftol=1e-15,
                             gtol=1e-15, max_nfev=400)
         theta_f, phi_f = _wrap_solution_angles(fit.x[0], fit.x[1])
         b_f = float(b_fixed) if b_fixed is not None else abs(float(fit.x[2]))

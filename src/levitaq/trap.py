@@ -46,6 +46,11 @@ _BLOCK = 4096  # RK4 steps whose transfer matrices are built and composed at onc
 _STAGES = np.array([[0.0], [0.5], [1.0]])  # step fractions where RK4 samples the stiffness
 _FLOQUET_RTOL = 1e-9  # relative change of the monodromy trace counted as converged
 _FLOQUET_MAX_STEPS = 1 << 20  # steps per period beyond which convergence is given up
+# Requests above these bounds are rejected before anything is allocated; both
+# sit over 100 times above the defaults (at most 6.4e5 ramp steps and 8e4
+# stored samples).
+_MAX_STEPS = 10 ** 8  # steps of one trajectory, tilt or ramp integration
+_MAX_SAMPLES = 10 ** 7  # stored samples of one trajectory or tilt run
 
 
 @dataclass(frozen=True)
@@ -256,9 +261,15 @@ def floquet_stability(a: float, q: float) -> FloquetResult:
 
 def find_stability_boundary(a: float = 0.0, q_min: float = 0.0, q_max: float = 1.5,
                             tol: float = 1e-4) -> float:
-    """Locate the single stable->unstable transition in q over (q_min, q_max) by bisection."""
+    """Locate the single stable->unstable transition in q over (q_min, q_max) by bisection.
+
+    Bisects until the bracket is at most ``tol`` wide, or one ulp wide when
+    ``tol`` is below the floating-point resolution of q.
+    """
     if not (q_max > q_min >= 0.0):
         raise ValueError("need q_max > q_min >= 0")
+    if not (tol > 0.0):
+        raise ValueError("tol must be > 0")
     lo, hi = q_min, q_max
     if not floquet_stability(a, lo if lo > 0.0 else 1e-6).stable:
         raise PhysicsError("lower end of the scan range is already unstable")
@@ -266,11 +277,38 @@ def find_stability_boundary(a: float = 0.0, q_min: float = 0.0, q_max: float = 1
         raise PhysicsError("upper end of the scan range is still stable")
     while hi - lo > tol:
         mid = 0.5 * (lo + hi)
+        if not lo < mid < hi:  # adjacent floats: the bracket cannot shrink
+            break
         if floquet_stability(a, mid).stable:
             lo = mid
         else:
             hi = mid
     return 0.5 * (lo + hi)
+
+
+def _fixed_step_count(t_end: float, dt: float, drive_freq: float, store_every: int) -> int:
+    """Step count of a fixed-step run to ``t_end`` that resolves the drive.
+
+    Rejects dt outside (0, 2 pi / (200 Omega)], a non-finite or non-positive
+    t_end, store_every < 1, and runs beyond _MAX_STEPS steps or _MAX_SAMPLES
+    stored samples.
+    """
+    if not (dt > 0.0):
+        raise ValueError("dt must be > 0")
+    dt_max = 2.0 * math.pi / (MIN_STEPS_PER_DRIVE_PERIOD * drive_freq)
+    if dt > dt_max:
+        raise ValueError(f"dt too large: {dt:g} s exceeds drive-resolution limit {dt_max:g} s")
+    if not (0.0 < t_end < math.inf):
+        raise ValueError("t_end must be finite and > 0")
+    if store_every < 1:
+        raise ValueError("store_every must be >= 1")
+    steps = t_end / dt
+    if steps > _MAX_STEPS:
+        raise ValueError(f"t_end / dt = {steps:.3g} steps exceeds the limit of {_MAX_STEPS:.0e}")
+    if steps / store_every > _MAX_SAMPLES:
+        raise ValueError(f"{steps / store_every:.3g} stored samples exceed the limit of "
+                         f"{_MAX_SAMPLES:.0e}; raise store_every")
+    return max(1, int(round(steps)))
 
 
 def integrate_motion(trap: TrapConfig, p: Particle,
@@ -283,23 +321,14 @@ def integrate_motion(trap: TrapConfig, p: Particle,
 
     ``forces`` is a list of constant external force vectors (N).  Integration
     stops early with the escape flag set once any coordinate exceeds
-    100 * z0.  Requires 0 < dt <= 2 pi / (200 Omega) so the drive is resolved.
+    100 * z0.  Requires 0 < dt <= 2 pi / (200 Omega) so the drive is resolved,
+    and at most 1e8 steps and 1e7 stored samples.
     """
-    if not (dt > 0.0):
-        raise ValueError("dt must be > 0")
-    dt_max = 2.0 * math.pi / (MIN_STEPS_PER_DRIVE_PERIOD * trap.drive_freq)
-    if dt > dt_max:
-        raise ValueError(f"dt too large: {dt:g} s exceeds drive-resolution limit {dt_max:g} s")
-    if not (0.0 < t_end < math.inf):
-        raise ValueError("t_end must be finite and > 0")
-    if store_every < 1:
-        raise ValueError("store_every must be >= 1")
-
+    n_steps = _fixed_step_count(t_end, dt, trap.drive_freq, store_every)
     m = particle_mass(p)
     cd = p.total_charge * trap.eta * trap.v_ac / (m * trap.z0 ** 2)  # drive accel / m
     om = trap.drive_freq
     esc = ESCAPE_RADIUS_FACTOR * trap.z0
-    n_steps = max(1, int(round(t_end / dt)))
 
     # rows (position, velocity, external acceleration), columns (x, y, z)
     state = np.zeros((3, 3))
@@ -346,7 +375,7 @@ def frequency_ramp_instability(trap: TrapConfig, p: Particle,
     escape threshold is crossed.  The returned frequency carries a small
     systematic lag from the finite growth time of the instability; slower
     ramps shrink it.  A warning is emitted when Omega changes by more than 1%
-    per secular period.
+    per secular period.  A ramp longer than 1e8 steps is rejected.
     """
     if not (omega_start > omega_end > 0.0):
         raise ValueError("need omega_start > omega_end > 0")
@@ -362,6 +391,10 @@ def frequency_ramp_instability(trap: TrapConfig, p: Particle,
         raise ValueError("dt must be > 0")
     elif dt > 2.0 * math.pi / (MIN_STEPS_PER_DRIVE_PERIOD * omega_start):
         raise ValueError("dt too large for the starting drive frequency")
+    steps = (omega_start - omega_end) / ramp_rate / dt
+    if not (steps <= _MAX_STEPS):
+        raise ValueError(f"the ramp takes {steps:.3g} steps, above the limit of "
+                         f"{_MAX_STEPS:.0e}; raise ramp_rate or dt")
     if seed_displacement is None:
         seed_displacement = 0.5 * trap.z0
 
@@ -374,7 +407,7 @@ def frequency_ramp_instability(trap: TrapConfig, p: Particle,
     k_acc = p.total_charge * trap.eta * trap.v_ac / (m * trap.z0 ** 2)
     esc = ESCAPE_RADIUS_FACTOR * trap.z0
     state = np.array([[seed_displacement], [0.0], [0.0]])
-    n_steps = math.ceil((omega_start - omega_end) / ramp_rate / dt)
+    n_steps = math.ceil(steps)
 
     for k in range(0, n_steps, _BLOCK):
         j = np.arange(k, min(k + _BLOCK, n_steps))

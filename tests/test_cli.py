@@ -100,6 +100,14 @@ class TestPhysicsAndSolverExitCodes:
         ("trap-sim", "--xi-v-m2", "1e6"),
         ("ramp-infer", "--drive-frequency-hz", "5000"),
         ("radiation", "--charge-e", "-5000"),
+        # bisection that cannot end, and an empty scan
+        ("stability-scan", "--tol", "0"),
+        ("stability-scan", "--tol", "-1"),
+        ("stability-scan", "--n-scan", "0"),
+        # step counts far above the integrator bounds
+        ("trap-sim", "--dt-s", "1e-300"),
+        ("angular-sim", "--dt-s", "1e-300"),
+        ("ramp-infer", "--ramp-rate-hz-s", "1e-300"),
     ])
     def test_malformed_numeric_input_exits_1_with_one_line(self, tmp_path, capsys, argv):
         code, out, err = run_cli(capsys, *argv, "--out", str(tmp_path))

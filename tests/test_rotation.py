@@ -64,6 +64,16 @@ class TestIntegrateAngle:
         traj = integrate_angle(params, AngularState(0.0, 0.0), t_end=5e-3, dt=1e-6)
         assert np.all(traj.alpha == 0.0)
 
+    @pytest.mark.parametrize("t_end, dt, store_every, match", [
+        (0.4, 1e-300, 5, "steps exceeds the limit"),   # about 4e299 steps
+        (0.4, 1e-8, 1, "stored samples exceed"),       # 4e7 steps, each one stored
+    ])
+    def test_step_and_sample_bounds(self, t_end, dt, store_every, match):
+        params = AngularTrapParams(omega_alpha=TWO_PI * 50.0, drive_freq=TWO_PI * 5000.0)
+        with pytest.raises(ValueError, match=match):
+            integrate_angle(params, AngularState(0.05, 0.0), t_end=t_end, dt=dt,
+                            store_every=store_every)
+
     def test_perpendicular_state_is_fixed_point(self):
         params = AngularTrapParams(omega_alpha=TWO_PI * 50.0, drive_freq=TWO_PI * 5000.0)
         traj = integrate_angle(params, AngularState(math.pi / 2.0, 0.0),

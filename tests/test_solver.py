@@ -1,12 +1,17 @@
+import itertools
 import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+from scipy.optimize import least_squares
 
+from levitaq import solver
 from levitaq.core import CONSTANTS
 from levitaq.errors import SolverError
-from levitaq.esr import (FieldOrientation, LineModel, synth_spectrum, uniform_grid,
-                         zeeman_shifts)
+from levitaq.esr import (FieldOrientation, LineModel, Spectrum, synth_spectrum,
+                         uniform_grid, zeeman_shifts)
 from levitaq.solver import (EsrSolution, PeakList, compare_orientations,
                             degeneracy_classes, detect_peaks,
                             equidistant_inversion, solve_equidistant,
@@ -232,3 +237,103 @@ class TestCompareOrientations:
                        depths=np.full(4, 0.03))
         with pytest.raises(SolverError):
             compare_orientations(CANONICAL_PEAKS, bad, b_fixed=B_REF)
+
+
+# ---- exact equivalence of the vectorized and precomputed solver paths -------
+
+_LEVELS = [0.5, 0.9, 0.97, 0.98, 0.99, 1.0, 1.05]
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(values=st.lists(st.one_of(st.sampled_from(_LEVELS),
+                                 st.floats(0.5, 1.05, allow_nan=False)),
+                       min_size=2, max_size=60),
+       min_depth=st.sampled_from([0.01, 0.02, 0.03, 0.1]))
+@example(values=[1.0, 0.9, 0.9, 0.9, 1.0], min_depth=0.03)     # flat plateau
+@example(values=[1.0, 0.9, 1.0, 0.9, 1.0], min_depth=0.03)     # exact tie
+@example(values=[0.9, 1.0, 1.0, 0.9], min_depth=0.03)          # dips on both edges
+@example(values=[1.0, 0.95, 0.9], min_depth=0.03)              # falling into the edge
+@example(values=[1.0, 0.97, 1.0, 0.9, 0.9, 1.0], min_depth=0.03)  # at the depth threshold
+def test_detect_peaks_matches_per_index_rule(values, min_depth):
+    """Unsmoothed and unmerged (min_separation = one grid step), the dips are
+    exactly the points the per-index rule picks: the leftmost point of a
+    strict or flat minimum inside the grid, deeper than min_depth."""
+    v = np.array(values)
+    df = 1e5
+    spectrum = Spectrum(frequencies=2.8e9 + df * np.arange(v.size), values=v)
+    idx = [i for i in range(1, v.size - 1)
+           if v[i] < v[i - 1] and v[i] <= v[i + 1] and v[i] < 1.0 - min_depth]
+    if not idx:
+        with pytest.raises(SolverError):
+            detect_peaks(spectrum, min_depth=min_depth, min_separation=df)
+        return
+    peaks = detect_peaks(spectrum, min_depth=min_depth, min_separation=df)
+    assert peaks.frequencies.tolist() == [float(spectrum.frequencies[i]) for i in idx]
+    assert peaks.depths.tolist() == [float(1.0 - v[i]) for i in idx]
+
+
+def _residual_fun(peaks, b_fixed):
+    """The residual solve_general hands to least squares."""
+    m_obs = solver._shift_magnitudes(peaks)
+    if b_fixed is None:
+        return lambda x: solver._shift_residuals(
+            m_obs, solver._axis_magnitudes(x[0], x[1], abs(x[2])))
+    return lambda x: solver._shift_residuals(
+        m_obs, solver._axis_magnitudes(x[0], x[1], b_fixed))
+
+
+def _distinct_peaks(theta, phi, b):
+    dips = np.unique(np.round(dips_for(theta, phi, b), 6))
+    return PeakList(frequencies=dips, depths=np.full(dips.size, 0.03))
+
+
+_LM_INPUTS = {
+    "eight": peaks_for(math.radians(70.0), math.radians(50.0), 60.0),
+    "four": PeakList(frequencies=dips_for(math.radians(70.0), math.radians(50.0), 60.0)[4:],
+                     depths=np.full(4, 0.03)),
+    "merged-110-plane": _distinct_peaks(math.pi / 4.0, 1.0, 45.0),  # six dips
+    "merged-cube-axis": _distinct_peaks(0.0, math.pi / 2.0, 40.0),  # two dips
+}
+
+
+@pytest.mark.parametrize("name", sorted(_LM_INPUTS))
+@pytest.mark.parametrize("b_fixed", [None, 55.0])
+def test_forward_jacobian_reproduces_scipy_lm_iterates(name, b_fixed):
+    """least_squares(method="lm") with the direct forward difference and with
+    scipy's own "2-point" differencing returns bit-identical fits."""
+    peaks = _LM_INPUTS[name]
+    fun = _residual_fun(peaks, b_fixed)
+    for x0 in ([0.3, 0.7, 50.0], [4.0, 2.5, 80.0], [0.0, 0.0, 1e-6]):
+        x0 = x0[:2] if b_fixed is not None else x0
+        kw = dict(method="lm", xtol=1e-15, ftol=1e-15, gtol=1e-15, max_nfev=400)
+        direct = least_squares(fun, x0, jac=lambda x: solver._forward_jacobian(fun, x), **kw)
+        scipy_fd = least_squares(fun, x0, **kw)
+        assert direct.x.tobytes() == scipy_fd.x.tobytes()
+        assert direct.fun.tobytes() == scipy_fd.fun.tobytes()
+        assert direct.nfev == scipy_fd.nfev
+
+
+def _orientation_class_per_matrix(theta, phi):
+    """_orientation_class with each signed permutation built and applied alone."""
+    bhat = FieldOrientation(b_gauss=1.0, theta=theta, phi=phi).unit_vector()
+    members, continuous = {}, False
+    for perm in itertools.permutations(range(3)):
+        for signs in itertools.product((1.0, -1.0), repeat=3):
+            mat = np.zeros((3, 3))
+            for row, (col, sign) in enumerate(zip(perm, signs)):
+                mat[row, col] = sign
+            th2, ph2 = solver._spherical_angles(mat @ bhat)
+            continuous |= math.sin(ph2) < 1e-9
+            members[(round(th2, 9), round(ph2, 9))] = (th2, ph2)
+    out = sorted(members.values(), key=lambda m: (round(m[0], 7), round(m[1], 7)))
+    return out, continuous
+
+
+@settings(derandomize=True, max_examples=200, deadline=None)
+@given(theta=st.floats(0.0, 2.0 * math.pi, exclude_max=True),
+       phi=st.one_of(st.floats(0.0, math.pi), st.sampled_from([0.0, math.pi])))
+@example(theta=0.0, phi=0.0)
+@example(theta=math.pi, phi=math.pi)
+@example(theta=math.atan(2.0), phi=math.pi / 2.0)
+def test_orientation_class_matches_per_matrix_form(theta, phi):
+    assert solver._orientation_class(theta, phi) == _orientation_class_per_matrix(theta, phi)

@@ -128,6 +128,17 @@ class TestFloquet:
         with pytest.raises(ValueError):
             floquet_stability(0.0, math.inf)
 
+    @pytest.mark.parametrize("tol", [0.0, -1.0])
+    def test_nonpositive_tol_rejected(self, tol):
+        # bisecting "while hi - lo > tol" never ends for tol <= 0
+        with pytest.raises(ValueError, match="tol must be > 0"):
+            find_stability_boundary(0.0, 0.0, 1.5, tol=tol)
+
+    def test_tol_below_float_resolution_stops_at_adjacent_floats(self):
+        boundary = find_stability_boundary(0.0, 0.5, 1.2, tol=1e-300)
+        assert boundary == pytest.approx(find_stability_boundary(0.0, 0.5, 1.2, tol=1e-4),
+                                         abs=1e-4)
+
     @pytest.mark.parametrize("a", [0.0, 0.1, 0.3, 0.6])
     def test_boundary_matches_mathieu_b1(self, a):
         # the first stability region ends where the characteristic value b1(q) falls to a
@@ -207,6 +218,16 @@ class TestIntegrateMotion:
             integrate_motion(reference_trap(), reference_particle(),
                              t_end=1e-3, dt=1e-3)
 
+    @pytest.mark.parametrize("dt, store_every, match", [
+        (1e-300, 1, "steps exceeds the limit"),   # about 1e298 steps
+        (1e-9, 1, "stored samples exceed"),       # 2e7 steps, each one stored
+    ])
+    def test_step_and_sample_bounds(self, dt, store_every, match):
+        # rejected up front: neither request allocates or steps
+        with pytest.raises(ValueError, match=match):
+            integrate_motion(reference_trap(), reference_particle(),
+                             t_end=0.02, dt=dt, store_every=store_every)
+
 
 class TestFrequencyRamp:
     def test_ramp_detects_instability_and_recovers_charge(self):
@@ -241,6 +262,13 @@ class TestFrequencyRamp:
         with pytest.raises(PhysicsError, match="stable over full ramp"):
             frequency_ramp_instability(trap, p, om_start, 0.93 * om_start,
                                        ramp_rate=3e4)
+
+    def test_ramp_step_bound(self):
+        # (omega_start - omega_end) / ramp_rate / dt overflows to inf steps
+        trap = reference_trap()
+        with pytest.raises(ValueError, match="steps, above the limit"):
+            frequency_ramp_instability(trap, reference_particle(), trap.drive_freq,
+                                       0.5 * trap.drive_freq, ramp_rate=1e-300)
 
     def test_fast_ramp_warns(self):
         p = reference_particle()
