@@ -262,8 +262,8 @@ def _run_trap_sim(cfg: dict, run_dir: Path) -> str:
 
 
 def _run_stability_scan(cfg: dict, run_dir: Path) -> str:
-    if cfg["n_scan"] < 1:
-        raise ValueError("n_scan must be >= 1")
+    if not 1 <= cfg["n_scan"] <= 10 ** 4:  # one Floquet evaluation per point
+        raise ValueError("n_scan must be between 1 and 1e4")
     # the boundary search validates the range and tol before the scan runs
     boundary = find_stability_boundary(cfg["a"], cfg["q_min"], cfg["q_max"], cfg["tol"])
     lines = ["q,trace,stable"]

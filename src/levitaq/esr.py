@@ -25,6 +25,8 @@ import numpy as np
 from .core import CONSTANTS, nv_axes
 from .errors import SolverError
 
+_MAX_GRID_POINTS = 10 ** 7  # points of one frequency grid
+
 
 @dataclass(frozen=True)
 class FieldOrientation:
@@ -134,8 +136,8 @@ def zeeman_shifts(field: FieldOrientation, normalized: bool = False) -> ZeemanSh
 
 
 def uniform_grid(f_min: float, f_max: float, n_points: int) -> np.ndarray:
-    if not (f_max > f_min) or n_points < 2:
-        raise ValueError("need f_max > f_min and at least 2 points")
+    if not (f_max > f_min) or not 2 <= n_points <= _MAX_GRID_POINTS:
+        raise ValueError(f"need f_max > f_min and 2 to {_MAX_GRID_POINTS:.0e} points")
     return np.linspace(f_min, f_max, n_points)
 
 
@@ -188,8 +190,7 @@ def synth_spectrum(dips_hz, model: LineModel, grid_hz, visibilities=None) -> Spe
     return Spectrum(frequencies=grid, values=values)
 
 
-def sweep_amplitudes(field: FieldOrientation, rotation_axis,
-                     normalized: bool = False) -> tuple[np.ndarray, np.ndarray]:
+def sweep_amplitudes(field: FieldOrientation, rotation_axis) -> tuple[np.ndarray, np.ndarray]:
     """Per-axis sinusoidal sweep of the shift under crystal rotation.
 
     For a crystal spinning about ``rotation_axis`` (unit vector, crystal
@@ -200,7 +201,7 @@ def sweep_amplitudes(field: FieldOrientation, rotation_axis,
     n = np.asarray(rotation_axis, dtype=float)
     if abs(np.linalg.norm(n) - 1.0) > 1e-6:
         raise ValueError("rotation_axis must be unit-norm")
-    axes = nv_axes(normalized=normalized)
+    axes = nv_axes()
     bhat = field.unit_vector()
     a_par = (n @ bhat) * (axes @ n)
     c_cos = axes @ bhat - a_par
@@ -217,9 +218,7 @@ def _arcsine_cells(half_range: float, n_cells: int) -> np.ndarray:
 
 
 def rotation_broadened_spectrum(field: FieldOrientation, rotation_axis,
-                                model: LineModel, grid_hz,
-                                normalized: bool = False,
-                                n_cells: int = 400,
+                                model: LineModel, grid_hz, n_cells: int = 400,
                                 visibilities=None) -> Spectrum:
     """Rotation-averaged spectrum: each line convolved with its arcsine density.
 
@@ -232,7 +231,7 @@ def rotation_broadened_spectrum(field: FieldOrientation, rotation_axis,
     if n_cells < 1:
         raise ValueError("n_cells must be >= 1")
     grid = np.asarray(grid_hz, dtype=float)
-    centers, half_ranges = sweep_amplitudes(field, rotation_axis, normalized)
+    centers, half_ranges = sweep_amplitudes(field, rotation_axis)
     d = CONSTANTS.zero_field_splitting_hz
     g = model.hwhm
     vis = _line_visibilities(visibilities, 8)
@@ -260,19 +259,17 @@ def rotation_broadened_spectrum(field: FieldOrientation, rotation_axis,
     return Spectrum(frequencies=grid, values=values)
 
 
-def extremal_field_estimate(spectrum: Spectrum, threshold: float,
-                            normalized: bool = False) -> float:
+def extremal_field_estimate(spectrum: Spectrum, threshold: float) -> float:
     """Field magnitude (gauss) from the outermost resonance extent of a spectrum.
 
     Finds the outermost grid frequencies at which the dip depth 1 - value
     exceeds ``threshold`` and converts the larger one-sided extent from the
     zero-field splitting D to a field via B = extent / (gamma_e * p_max),
     where p_max is the largest axis projection reached during the rotation
-    (the axis norm, sqrt(3) unnormalized or 1 normalized, when the sweep
-    passes through alignment).  Extents not exceeding 20 MHz are rejected as
-    bare central-dip structure rather than resolved field splitting.
+    (the axis norm sqrt(3), when the sweep passes through alignment).
+    Extents not exceeding 20 MHz are rejected as bare central-dip structure
+    rather than resolved field splitting.
     """
-    p_max = 1.0 if normalized else math.sqrt(3.0)
     if not (threshold > 0.0):
         raise ValueError("threshold must be > 0")
     d = CONSTANTS.zero_field_splitting_hz
@@ -284,4 +281,4 @@ def extremal_field_estimate(spectrum: Spectrum, threshold: float,
     extent = max(float(f[above[-1]] - d), float(d - f[above[0]]))
     if extent <= 2.0e7:
         raise SolverError("no resonance detected beyond the central dip width")
-    return extent / (CONSTANTS.gamma_e_hz_per_gauss * p_max)
+    return extent / (CONSTANTS.gamma_e_hz_per_gauss * math.sqrt(3.0))

@@ -6,7 +6,10 @@ four defect axes: any signed permutation of the crystal-frame coordinates
 maps the axis set onto itself up to sign and therefore leaves the eight-dip
 spectrum unchanged.  Solvers report one representative and enumerate the
 class; ties between exact-fit class members are broken deterministically by
-smallest azimuthal angle, then smallest polar angle.
+smallest azimuthal angle, then smallest polar angle.  The general solver
+fits up to eight dips by an exact least-squares solve on the two cones of
+field vectors that hold one member of every class, then one local
+refinement, which also fixes a given field.
 """
 
 from __future__ import annotations
@@ -23,9 +26,6 @@ from .core import CONSTANTS, nv_axes
 from .errors import SolverError
 from .esr import FieldOrientation, Spectrum
 
-_TIE_ROUND_HZ = 1.0  # residuals equal within 1 Hz count as tied
-_N_THETA, _N_PHI = 24, 12  # multi-start grid of solve_general
-_N_REFINE = 6  # best-scoring starts refined by least squares
 _COMPARE_B_TOLERANCE_GAUSS = 2.0  # closed-form field must match b_fixed this closely
 _EXTREMAL_MATCH_TOLERANCE = 0.02  # relative change of the outermost shift
 _FD_REL_STEP = math.sqrt(np.finfo(float).eps)  # scipy's default "2-point" relative step
@@ -205,6 +205,26 @@ def _shift_residuals(m_obs: np.ndarray, mags: np.ndarray) -> np.ndarray:
     return np.concatenate([diff.min(axis=-1), diff.min(axis=-2)], axis=-1)
 
 
+def _cone_faces() -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The plane vz = vx + vy cuts the domain 0 <= vx <= vy <= vz of v =
+    gamma_e B B_hat into two cones; on each, v = rays @ w (w >= 0) has ascending
+    axis magnitudes mags @ w.  Per face (non-empty subset of a cone's rays):
+    rays, mags, and the least-squares inverse (3, 8) of the eight-line design."""
+    faces = []
+    for cone in ([(1, 1, 2), (0, 1, 1), (0, 0, 1)], [(0, 1, 1), (1, 1, 1), (1, 1, 2)]):
+        rays = np.array(cone, dtype=float).T
+        mags = np.sort(np.abs(nv_axes() @ rays), axis=0)
+        for face in np.array(list(itertools.product((False, True), repeat=3))[1:]):
+            design = np.repeat(mags[:, face], 2, axis=0)  # full column rank
+            pinv = np.zeros((3, 8))  # zero weight on the rays off the face
+            pinv[face] = np.linalg.solve(design.T @ design, design.T)
+            faces.append((rays, mags, pinv))
+    return tuple(np.array(part) for part in zip(*faces))
+
+
+_FACE_RAYS, _FACE_MAGS, _FACE_PINV = _cone_faces()
+
+
 def _equidistant_shifts(peaks: PeakList, tolerance: float) -> np.ndarray | None:
     """The four descending positive-side shifts, or None when the eight-dip
     equally-spaced pattern does not hold within ``tolerance``."""
@@ -289,69 +309,51 @@ def _wrap_solution_angles(theta: float, phi: float) -> tuple[float, float]:
 
 def solve_general(peaks: PeakList, residual_threshold_hz: float = 30e6,
                   b_fixed: float | None = None) -> EsrSolution:
-    """Least-squares orientation fit with multi-start over a (theta, phi) grid.
+    """Orientation fit: an exact least-squares solve, then one refinement.
 
-    Observed dips are reduced to shift magnitudes |f - D| and matched to the
-    model axis magnitudes as in ``_shift_residuals``, so spectra whose lines
-    coincide at special orientations remain solvable (the orientation is
-    then pinned only up to the matching family).  The coarse 24 x 12 start
-    grid is scored with a closed-form field estimate, the six best starts
-    are refined by Levenberg-Marquardt, and the result is reported as the
-    degeneracy-class representative with smallest theta, then phi.  The
-    refinement's Jacobian is a direct forward difference with scipy's
-    default "2-point" steps (``_forward_jacobian``), so the iterates are
-    those of scipy's own differencing.  Raises when the best residual
-    exceeds ``residual_threshold_hz``.
+    Dips become shift magnitudes |f - D|, matched to the axis magnitudes as
+    in ``_shift_residuals``.  Every split of the eight ascending lines into
+    one run per dip is fitted on every cone face (``_cone_faces``) with the
+    weights clipped at 0, which the optimum's own face leaves exact.  The
+    best fit, the global optimum for four or eight dips at free field,
+    starts one Levenberg-Marquardt refinement over (theta, phi, B), or a
+    local one over (theta, phi) at ``b_fixed``.  Reports the class member
+    with smallest theta, then phi; raises for more than eight dips or a
+    residual above ``residual_threshold_hz``.
     """
     n = len(peaks)
     if n < 1:
         raise ValueError("need at least one dip to constrain the orientation")
+    if n > 8:
+        raise SolverError(f"{n} dips: the four defect axes give at most eight")
     m_obs = _shift_magnitudes(peaks)
 
-    # coarse scoring over the start grid, vectorized
-    th = np.linspace(0.0, 2.0 * math.pi, _N_THETA, endpoint=False)
-    ph = np.linspace(0.0, math.pi, _N_PHI)
-    tt, pp = np.meshgrid(th, ph, indexing="ij")
-    bhats = np.stack([np.cos(tt) * np.sin(pp), np.sin(tt) * np.sin(pp),
-                      np.cos(pp)], axis=-1).reshape(-1, 3)
-    v4 = np.abs(bhats @ nv_axes().T) * CONSTANTS.gamma_e_hz_per_gauss  # per gauss
-    if b_fixed is not None:
-        b0 = np.full(v4.shape[0], float(b_fixed))
-    elif n in (4, 8):
-        vm = np.sort(np.repeat(v4, n // 4, axis=1), axis=1)
-        denom = np.sum(vm * vm, axis=1)
-        b0 = np.where(denom > 0.0, (vm @ m_obs) / np.maximum(denom, 1e-300), 0.0)
-    else:
-        vmax = v4.max(axis=1)
-        b0 = np.where(vmax > 0.0, m_obs[-1] / np.maximum(vmax, 1e-300), 0.0)
-    scores = np.sqrt(np.mean(_shift_residuals(m_obs, v4 * b0[:, None]) ** 2, axis=1))
+    # consecutive runs of the eight ascending lines, one run per observed dip
+    cuts = np.array(list(itertools.combinations(range(1, 8), n - 1)), dtype=int)
+    runs = np.sum(np.arange(8)[:, None] >= cuts[:, None, :], axis=-1)
+    w = np.maximum(np.einsum("fij,kj->kfi", _FACE_PINV, m_obs[runs]), 0.0)
+    mags = np.einsum("fij,kfj->kfi", _FACE_MAGS, w)
+    costs = np.sum(_shift_residuals(m_obs, mags) ** 2, axis=-1)
+    split, face = np.unravel_index(np.argmin(costs), costs.shape)
+    v = _FACE_RAYS[face] @ w[split, face]
+    v_hz = float(np.linalg.norm(v))
+    x0 = list(_spherical_angles(v / v_hz)) if v_hz > 0.0 else [0.0, 0.0]
 
     if b_fixed is None:
+        x0.append(v_hz / CONSTANTS.gamma_e_hz_per_gauss)
         fun = lambda x: _shift_residuals(m_obs, _axis_magnitudes(x[0], x[1], abs(x[2])))
     else:
         fun = lambda x: _shift_residuals(m_obs, _axis_magnitudes(x[0], x[1], b_fixed))
-    jac = lambda x: _forward_jacobian(fun, x)
-    best = None
-    for i in np.argsort(scores, kind="stable")[:_N_REFINE]:
-        x0 = list(_spherical_angles(bhats[i]))
-        if b_fixed is None:
-            x0.append(max(float(b0[i]), 1e-6))
-        fit = least_squares(fun, x0, jac=jac, method="lm", xtol=1e-15, ftol=1e-15,
-                            gtol=1e-15, max_nfev=400)
-        theta_f, phi_f = _wrap_solution_angles(fit.x[0], fit.x[1])
-        b_f = float(b_fixed) if b_fixed is not None else abs(float(fit.x[2]))
-        rms = float(np.sqrt(np.mean(fit.fun ** 2)))
-        key = (round(rms / _TIE_ROUND_HZ), round(theta_f, 9), round(phi_f, 9))
-        if best is None or key < best[0]:
-            best = (key, theta_f, phi_f, b_f, rms)
-
-    _, theta_b, phi_b, b_b, rms_b = best
-    if rms_b > residual_threshold_hz:
+    fit = least_squares(fun, x0, jac=lambda x: _forward_jacobian(fun, x), method="lm",
+                        xtol=1e-15, ftol=1e-15, gtol=1e-15, max_nfev=400)
+    theta, phi = _wrap_solution_angles(fit.x[0], fit.x[1])
+    b = float(b_fixed) if b_fixed is not None else abs(float(fit.x[2]))
+    rms = float(np.sqrt(np.mean(fit.fun ** 2)))
+    if rms > residual_threshold_hz:
         raise SolverError(
-            f"no consistent orientation: best residual {rms_b:.3g} Hz exceeds "
+            f"no consistent orientation: best residual {rms:.3g} Hz exceeds "
             f"threshold {residual_threshold_hz:.3g} Hz")
-    return _finish_solution(theta_b, phi_b, b_b, rms_b, method="general",
-                            canonicalize=True)
+    return _finish_solution(theta, phi, b, rms, method="general", canonicalize=True)
 
 
 @dataclass

@@ -82,6 +82,23 @@ class TestPhysicsAndSolverExitCodes:
                                "--out", str(tmp_path))
         assert code == 3
 
+    def test_nine_dip_spectrum_exits_3(self, tmp_path, capsys):
+        # nine resolved dips, where the four defect axes give at most eight
+        dips = np.array([2.70e9, 2.74e9, 2.79e9, 2.83e9, 2.91e9, 2.95e9, 3.00e9,
+                         3.04e9, 3.10e9])
+        f = np.linspace(2.6e9, 3.2e9, 12001)
+        values = 1.0 - np.sum(0.03 * 4e12 / ((f[:, None] - dips) ** 2 + 4e12), axis=1)
+        spectrum = tmp_path / "nine.csv"
+        spectrum.write_text("frequency_hz,contrast\n"
+                            + "\n".join(f"{x:.17g},{y:.17g}" for x, y in zip(f, values))
+                            + "\n")
+        with pytest.warns(UserWarning, match="general solver"):
+            code, out, err = run_cli(capsys, "esr-solve", "--input", str(spectrum),
+                                     "--out", str(tmp_path))
+        assert code == 3
+        assert out == ""
+        assert "9 dips" in err
+
     def test_malformed_spectrum_exits_1(self, tmp_path, capsys):
         bad = tmp_path / "bad.csv"
         bad.write_text("frequency_hz,contrast\n3.0,1.0\n2.0,1.0\n")
@@ -104,6 +121,9 @@ class TestPhysicsAndSolverExitCodes:
         ("stability-scan", "--tol", "0"),
         ("stability-scan", "--tol", "-1"),
         ("stability-scan", "--n-scan", "0"),
+        # sizes far above the scan and grid bounds
+        ("stability-scan", "--n-scan", "100000000"),
+        ("esr-forward", "--grid-points", "1000000000"),
         # step counts far above the integrator bounds
         ("trap-sim", "--dt-s", "1e-300"),
         ("angular-sim", "--dt-s", "1e-300"),

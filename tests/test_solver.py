@@ -337,3 +337,81 @@ def _orientation_class_per_matrix(theta, phi):
 @example(theta=math.atan(2.0), phi=math.pi / 2.0)
 def test_orientation_class_matches_per_matrix_form(theta, phi):
     assert solver._orientation_class(theta, phi) == _orientation_class_per_matrix(theta, phi)
+
+
+# ---- the exact orientation fit ------------------------------------------------
+
+def _signed_permutations_of(v):
+    return [np.array(signs) * v[list(perm)]
+            for perm in itertools.permutations(range(3))
+            for signs in itertools.product((1.0, -1.0), repeat=3)]
+
+
+def _class_angle_deg(solution, theta, phi):
+    """Angle from the solution's field direction to the nearest signed
+    permutation of (theta, phi), from the chord so it stays exact near 0."""
+    got = FieldOrientation(b_gauss=1.0, theta=solution.theta, phi=solution.phi).unit_vector()
+    truth = FieldOrientation(b_gauss=1.0, theta=theta, phi=phi).unit_vector()
+    chord = min(np.linalg.norm(got - v) for v in _signed_permutations_of(truth))
+    return math.degrees(2.0 * math.asin(min(1.0, chord / 2.0)))
+
+
+@pytest.mark.parametrize("theta_deg, phi_deg, b", [
+    (303.24, 68.726, 80.594),  # a 10.6 MHz local minimum of the multi-start grid
+    (55.815, 72.454, 59.979),
+])
+@pytest.mark.parametrize("fixed", [False, True])
+def test_exact_fit_recovers_multistart_local_minima(theta_deg, phi_deg, b, fixed):
+    theta, phi = math.radians(theta_deg), math.radians(phi_deg)
+    sol = solve_general(peaks_for(theta, phi, b), b_fixed=b if fixed else None)
+    assert _class_angle_deg(sol, theta, phi) < 1e-5
+    assert sol.b_gauss == pytest.approx(b, rel=1e-9)
+    assert sol.residual_rms_hz < 1.0
+
+
+@settings(derandomize=True, max_examples=150, deadline=None)
+@given(theta=st.floats(0.0, 2.0 * math.pi, exclude_max=True),
+       phi=st.floats(0.0, math.pi), b=st.floats(20.0, 120.0))
+def test_exact_fit_round_trip(theta, phi, b):
+    sol = solve_general(peaks_for(theta, phi, b))
+    assert _class_angle_deg(sol, theta, phi) < 1e-5
+    assert sol.b_gauss == pytest.approx(b, rel=1e-9)
+
+
+@pytest.mark.parametrize("theta_deg, phi_deg", [(303.24, 68.726), (17.0, 41.0)])
+def test_solution_class_same_for_all_signed_permutations(theta_deg, phi_deg):
+    base = FieldOrientation(b_gauss=1.0, theta=math.radians(theta_deg),
+                            phi=math.radians(phi_deg)).unit_vector()
+    sols = []
+    for v in _signed_permutations_of(base):
+        th, ph = solver._spherical_angles(v)
+        sols.append(solve_general(peaks_for(th, ph, 70.0)))
+    for sol in sols[1:]:
+        assert sol.theta == pytest.approx(sols[0].theta, abs=1e-9)
+        assert sol.phi == pytest.approx(sols[0].phi, abs=1e-9)
+        np.testing.assert_allclose(sol.degeneracy_class, sols[0].degeneracy_class,
+                                   atol=1e-9)
+
+
+def test_cone_faces_reproduce_sorted_axis_magnitudes():
+    """On each cone, v = rays @ w with w >= 0 has ascending axis magnitudes
+    mags @ w, and every v with 0 <= vx <= vy <= vz lies in one of the cones."""
+    from levitaq.core import nv_axes
+    rng = np.random.default_rng(11)
+    for v in np.sort(np.abs(rng.normal(size=(500, 3))), axis=1):
+        face = 6 if v[2] >= v[0] + v[1] else 13  # the three-ray face of either cone
+        w = np.linalg.solve(solver._FACE_RAYS[face], v)
+        assert np.all(w >= -1e-12)
+        np.testing.assert_allclose(solver._FACE_MAGS[face] @ w,
+                                   np.sort(np.abs(nv_axes() @ v)), rtol=1e-12, atol=1e-12)
+        # the face pseudo-inverse recovers w from the eight lines
+        target = np.repeat(np.sort(np.abs(nv_axes() @ v)), 2)
+        np.testing.assert_allclose(solver._FACE_PINV[face] @ target, w,
+                                   rtol=1e-12, atol=1e-12)
+
+
+def test_more_than_eight_dips_rejected():
+    dips = np.sort(np.append(dips_for(math.radians(70.0), math.radians(50.0), 60.0),
+                             3.1e9))
+    with pytest.raises(SolverError, match="9 dips"):
+        solve_general(PeakList(frequencies=dips, depths=np.full(9, 0.03)))
