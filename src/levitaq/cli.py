@@ -2,9 +2,10 @@
 
 Every subcommand reads a flat ``key = value`` config file (optional), applies
 command-line overrides, validates against its known key set, and writes its
-artifacts plus a ``resolved.cfg`` provenance file into a run directory.  All
-frequencies in configs and summaries are ordinary Hz; conversion to angular
-rates happens only at this boundary.
+artifacts plus a ``resolved.cfg`` provenance file, itself a config that replays
+the run, into a run directory that holds one subcommand's runs.  ``dataio``
+writes and reads every file.  All frequencies in configs and summaries are
+ordinary Hz; conversion to angular rates happens only at this boundary.
 
 Exit codes: 0 success, 1 malformed config or input file, or a file that
 cannot be read or written, 2 physics-domain error, 3 solver or convergence
@@ -171,25 +172,6 @@ def _attach_negative_values(argv) -> list[str]:
     return out
 
 
-def _load_config_file(path: str) -> dict[str, str]:
-    p = Path(path)
-    if not p.is_file():
-        raise ConfigError(f"config file not found: {p}")
-    out: dict[str, str] = {}
-    for line_no, line in enumerate(p.read_text().splitlines(), start=1):
-        stripped = line.split("#", 1)[0].strip()
-        if not stripped:
-            continue
-        if "=" not in stripped:
-            raise ConfigError(f"{p}: line {line_no}: expected 'key = value'")
-        key, _, value = stripped.partition("=")
-        key = key.strip()
-        if key in out:
-            raise ConfigError(f"{p}: line {line_no}: duplicate key '{key}'")
-        out[key] = value.strip()
-    return out
-
-
 def _resolve(subcommand: str, file_values: dict[str, str],
              flag_values: dict[str, str]) -> dict:
     keyspec = KEYSPECS[subcommand]
@@ -213,14 +195,6 @@ def _resolve(subcommand: str, file_values: dict[str, str],
         if typ is float and not math.isfinite(merged[key]):
             raise ConfigError(f"key '{key}': value must be finite, got '{raw}'")
     return merged
-
-
-def _write_resolved(run_dir: Path, subcommand: str, cfg: dict) -> None:
-    lines = [f"subcommand = {subcommand}"]
-    for key in sorted(cfg):
-        val = cfg[key]
-        lines.append(f"{key} = {val:.17g}" if isinstance(val, float) else f"{key} = {val}")
-    (run_dir / "resolved.cfg").write_text("\n".join(lines) + "\n")
 
 
 def _particle(cfg: dict) -> Particle:
@@ -266,12 +240,11 @@ def _run_stability_scan(cfg: dict, run_dir: Path) -> str:
         raise ValueError("n_scan must be between 1 and 1e4")
     # the boundary search validates the range and tol before the scan runs
     boundary = find_stability_boundary(cfg["a"], cfg["q_min"], cfg["q_max"], cfg["tol"])
-    lines = ["q,trace,stable"]
-    for q in np.linspace(cfg["q_min"], cfg["q_max"], cfg["n_scan"]):
-        res = floquet_stability(cfg["a"], float(q))
-        lines.append(f"{q:.17g},{res.trace:.17g},{int(res.stable)}")
-    (run_dir / "scan.csv").write_text("\n".join(lines) + "\n")
-    (run_dir / "boundary.txt").write_text(f"q_boundary = {boundary:.17g}\n")
+    qs = np.linspace(cfg["q_min"], cfg["q_max"], cfg["n_scan"])
+    scan = [floquet_stability(cfg["a"], float(q)) for q in qs]
+    dataio.write_rows(run_dir / "scan.csv", "q,trace,stable",
+                      [qs, [r.trace for r in scan], [int(r.stable) for r in scan]])
+    dataio.write_key_values(run_dir / "boundary.txt", [("q_boundary", boundary)])
     return f"stability-scan: q_boundary={boundary:.5f} n_scan={cfg['n_scan']}"
 
 
@@ -292,13 +265,9 @@ def _run_ramp_infer(cfg: dict, run_dir: Path) -> str:
     qm_drive = charge_to_mass_from_instability(om_unstable, drive_curvature(trap))
     qm_xi = charge_to_mass_from_instability(om_unstable, trap.xi)
     true_qm = abs(p.total_charge) / particle_mass(p)
-    lines = [
-        f"omega_unstable_hz = {om_unstable / TWO_PI:.17g}",
-        f"charge_to_mass_c_kg = {qm_drive:.17g}",
-        f"charge_to_mass_xi_c_kg = {qm_xi:.17g}",
-        f"configured_charge_to_mass_c_kg = {true_qm:.17g}",
-    ]
-    (run_dir / "ramp.txt").write_text("\n".join(lines) + "\n")
+    dataio.write_key_values(run_dir / "ramp.txt", [
+        ("omega_unstable_hz", om_unstable / TWO_PI), ("charge_to_mass_c_kg", qm_drive),
+        ("charge_to_mass_xi_c_kg", qm_xi), ("configured_charge_to_mass_c_kg", true_qm)])
     return (f"ramp-infer: omega_unstable_hz={om_unstable / TWO_PI:.6g} "
             f"charge_to_mass_c_kg={qm_drive:.6g}")
 
@@ -309,8 +278,8 @@ def _run_radiation(cfg: dict, run_dir: Path) -> str:
                         half_aperture=cfg["half_aperture_rad"])
     force = radiation_pressure_force(laser)
     dx = equilibrium_displacement(force, p, TWO_PI * cfg["omega_x_hz"])
-    (run_dir / "radiation.txt").write_text(
-        f"force_n = {force:.17g}\ndisplacement_m = {dx:.17g}\n")
+    dataio.write_key_values(run_dir / "radiation.txt",
+                            [("force_n", force), ("displacement_m", dx)])
     return f"radiation: force_n={force:.6g} displacement_m={dx:.6g}"
 
 
@@ -340,8 +309,7 @@ def _run_esr_forward(cfg: dict, run_dir: Path) -> str:
     grid = _auto_grid(cfg, dips[0] - 8.0 * model.hwhm, dips[-1] + 8.0 * model.hwhm)
     spectrum = synth_spectrum(dips, model, grid)
     dataio.write_spectrum(run_dir / "spectrum.csv", spectrum)
-    (run_dir / "dips.csv").write_text(
-        "dip_frequency_hz\n" + "\n".join(f"{f:.17g}" for f in dips) + "\n")
+    dataio.write_rows(run_dir / "dips.csv", "dip_frequency_hz", [dips])
     return (f"esr-forward: n_dips={dips.size} dip_min_hz={dips[0]:.6g} "
             f"dip_max_hz={dips[-1]:.6g} points={grid.size}")
 
@@ -440,15 +408,22 @@ def run(argv=None) -> int:
         args = _build_parser().parse_args(
             _attach_negative_values(sys.argv[1:] if argv is None else argv))
         sub = args.subcommand
-        file_values = _load_config_file(args.config) if args.config else {}
+        file_values = dataio.read_key_values(args.config) if args.config else {}
+        if (written_for := file_values.pop("subcommand", sub)) != sub:
+            raise ConfigError(f"{args.config} is a '{written_for}' config, not '{sub}'")
         flag_values = {k: getattr(args, k) for k in KEYSPECS[sub]
                        if getattr(args, k, None) is not None}
         cfg = _resolve(sub, file_values, flag_values)
 
         root = args.out or os.environ.get("LEVITAQ_OUT_DIR") or "runs"
         run_dir = Path(root) / (args.name or sub)
+        resolved = run_dir / "resolved.cfg"
+        owner = (dataio.read_key_values(resolved).get("subcommand")
+                 if resolved.is_file() else sub)
+        if owner != sub:  # a run directory holds one subcommand's artifacts
+            raise ConfigError(f"{run_dir} holds a '{owner}' run; choose another --name")
         run_dir.mkdir(parents=True, exist_ok=True)
-        _write_resolved(run_dir, sub, cfg)
+        dataio.write_key_values(resolved, [("subcommand", sub), *sorted(cfg.items())])
 
         summary = _RUNNERS[sub](cfg, run_dir)
         print(f"{summary} out={run_dir}")

@@ -1,13 +1,18 @@
-"""Columnar text formats for trajectories, spectra, and solution reports.
+"""Every file levitaq writes or reads, in one of two text formats.
 
-All files are plain comma-separated text with a one-line header, SI units,
-and floats rendered with repr-faithful precision so repeated runs are
-byte-identical.
+Comma-separated columns under a one-line header (``write_rows``: trajectories,
+spectra, scans, dips) and ``key = value`` lines (``write_key_values`` and
+``read_key_values``: configs, ``resolved.cfg``, solutions, reports and the
+scalar results).  Floats are written as ``%.17g``, which round-trips, so
+repeated runs are byte-identical.  Every write goes to a temporary file that
+is then renamed onto the target, so a failed write leaves the old file as it was.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
+import os
 import warnings
 from pathlib import Path
 
@@ -22,29 +27,78 @@ from .trap import Trajectory
 TRAJECTORY_HEADER = "t,x,y,z,vx,vy,vz"
 ANGLE_HEADER = "t,alpha,alpha_dot"
 SPECTRUM_HEADER = "frequency_hz,contrast"
+_FLOAT = "%.17g"
 
 
-def _fmt(x: float) -> str:
-    return f"{x:.17g}"
+def _write_text(path, lines) -> None:
+    """Write ``lines`` as newline-terminated text into a temporary file beside
+    ``path`` and rename it onto ``path``; on any failure remove it again."""
+    path = Path(path)
+    tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
+    fh = open(tmp, "w")
+    try:
+        with fh:
+            fh.write("\n".join(lines) + "\n")
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink()
+        raise
 
 
-def _write_rows(path, header: str, columns) -> None:
+def write_rows(path, header: str, columns) -> None:
     """Write equal-length float columns as CSV rows, each formatted by one template."""
-    template = ",".join(["%.17g"] * len(columns))
+    template = ",".join([_FLOAT] * len(columns))
     rows = zip(*(np.asarray(c).tolist() for c in columns))
-    Path(path).write_text("\n".join([header, *(template % row for row in rows)]) + "\n")
+    _write_text(path, itertools.chain([header], (template % row for row in rows)))
+
+
+def _text(value) -> str:
+    if isinstance(value, (bool, np.bool_)):
+        return str(bool(value)).lower()
+    return _FLOAT % value if isinstance(value, float) else str(value)
+
+
+def _key_value_lines(pairs) -> list[str]:
+    return [f"{key} = {_text(value)}" for key, value in pairs]
+
+
+def write_key_values(path, pairs) -> None:
+    """Write ``(key, value)`` pairs as ``key = value`` lines: floats as
+    ``%.17g``, booleans in lowercase, anything else as ``str``."""
+    _write_text(path, _key_value_lines(pairs))
+
+
+def read_key_values(path) -> dict[str, str]:
+    """Read ``key = value`` lines; ``#`` starts a comment, blank lines are
+    skipped, and a line without ``=`` or a repeated key is a ``ConfigError``."""
+    p = Path(path)
+    if not p.is_file():
+        raise ConfigError(f"config file not found: {p}")
+    out: dict[str, str] = {}
+    for line_no, line in enumerate(p.read_text().splitlines(), start=1):
+        stripped = line.split("#", 1)[0].strip()
+        if not stripped:
+            continue
+        if "=" not in stripped:
+            raise ConfigError(f"{p}: line {line_no}: expected 'key = value'")
+        key, _, value = stripped.partition("=")
+        key = key.strip()
+        if key in out:
+            raise ConfigError(f"{p}: line {line_no}: duplicate key '{key}'")
+        out[key] = value.strip()
+    return out
 
 
 def write_trajectory(path, traj: Trajectory) -> None:
-    _write_rows(path, TRAJECTORY_HEADER, [traj.t, *traj.positions.T, *traj.velocities.T])
+    write_rows(path, TRAJECTORY_HEADER, [traj.t, *traj.positions.T, *traj.velocities.T])
 
 
 def write_angle_trajectory(path, traj: AngleTrajectory) -> None:
-    _write_rows(path, ANGLE_HEADER, [traj.t, traj.alpha, traj.alpha_dot])
+    write_rows(path, ANGLE_HEADER, [traj.t, traj.alpha, traj.alpha_dot])
 
 
 def write_spectrum(path, spectrum: Spectrum) -> None:
-    _write_rows(path, SPECTRUM_HEADER, [spectrum.frequencies, spectrum.values])
+    write_rows(path, SPECTRUM_HEADER, [spectrum.frequencies, spectrum.values])
 
 
 def ingest_spectrum(path) -> Spectrum:
@@ -92,35 +146,23 @@ def ingest_spectrum(path) -> Spectrum:
     return Spectrum(frequencies=f, values=v)
 
 
-def _deg(x: float) -> float:
-    return math.degrees(x)
-
-
 def solution_lines(sol: EsrSolution, prefix: str = "") -> list[str]:
-    lines = [
-        f"{prefix}theta_deg = {_fmt(_deg(sol.theta))}",
-        f"{prefix}phi_deg = {_fmt(_deg(sol.phi))}",
-        f"{prefix}b_gauss = {_fmt(sol.b_gauss)}",
-        f"{prefix}residual_hz = {_fmt(sol.residual_rms_hz)}",
-        f"{prefix}method = {sol.method}",
-        f"{prefix}continuous_theta = {str(sol.continuous_theta).lower()}",
-    ]
-    members = "; ".join(f"({_fmt(_deg(t))}, {_fmt(_deg(p))})"
+    members = "; ".join(f"({_text(math.degrees(t))}, {_text(math.degrees(p))})"
                         for t, p in sol.degeneracy_class)
-    lines.append(f"{prefix}degeneracy_deg = {members}")
-    return lines
+    pairs = [("theta_deg", math.degrees(sol.theta)), ("phi_deg", math.degrees(sol.phi)),
+             ("b_gauss", sol.b_gauss), ("residual_hz", sol.residual_rms_hz),
+             ("method", sol.method), ("continuous_theta", sol.continuous_theta),
+             ("degeneracy_deg", members)]
+    return _key_value_lines((prefix + key, value) for key, value in pairs)
 
 
 def write_solution(path, sol: EsrSolution) -> None:
-    Path(path).write_text("\n".join(solution_lines(sol)) + "\n")
+    _write_text(path, solution_lines(sol))
 
 
 def write_rotation_report(path, report: RotationReport) -> None:
-    lines = solution_lines(report.before, prefix="before_")
-    lines += solution_lines(report.after, prefix="after_")
-    lines += [
-        f"extremal_shift_hz = {_fmt(report.extremal_shift_hz)}",
-        f"extremal_match = {str(report.extremal_match).lower()}",
-        f"merged_central_pair = {str(report.merged_central_pair).lower()}",
-    ]
-    Path(path).write_text("\n".join(lines) + "\n")
+    _write_text(path, solution_lines(report.before, prefix="before_")
+                + solution_lines(report.after, prefix="after_")
+                + _key_value_lines([("extremal_shift_hz", report.extremal_shift_hz),
+                                    ("extremal_match", report.extremal_match),
+                                    ("merged_central_pair", report.merged_central_pair)]))

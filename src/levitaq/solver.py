@@ -284,12 +284,13 @@ def solve_equidistant(peaks: PeakList, spacing_tolerance: float = 0.05,
     return sol
 
 
-def _forward_jacobian(fun, x: np.ndarray) -> np.ndarray:
+def _forward_jacobian(fun, x: np.ndarray, f0: np.ndarray | None = None) -> np.ndarray:
     """Forward-difference Jacobian of ``fun`` at ``x`` with the steps of
     scipy's default "2-point" scheme: h = sqrt(eps) * sign(x) * max(1, |x|)
     with sign(0) = +1, each column divided by the representable step
-    (x + h) - x."""
-    f0 = fun(x)
+    (x + h) - x.  ``f0``, when given, is ``fun(x)``."""
+    if f0 is None:
+        f0 = fun(x)
     h = _FD_REL_STEP * np.where(x >= 0.0, 1.0, -1.0) * np.maximum(1.0, np.abs(x))
     jac = np.empty((f0.size, x.size))
     for i in range(x.size):
@@ -341,10 +342,20 @@ def solve_general(peaks: PeakList, residual_threshold_hz: float = 30e6,
 
     if b_fixed is None:
         x0.append(v_hz / CONSTANTS.gamma_e_hz_per_gauss)
-        fun = lambda x: _shift_residuals(m_obs, _axis_magnitudes(x[0], x[1], abs(x[2])))
+        residuals = lambda x: _shift_residuals(m_obs, _axis_magnitudes(x[0], x[1], abs(x[2])))
     else:
-        fun = lambda x: _shift_residuals(m_obs, _axis_magnitudes(x[0], x[1], b_fixed))
-    fit = least_squares(fun, x0, jac=lambda x: _forward_jacobian(fun, x), method="lm",
+        residuals = lambda x: _shift_residuals(m_obs, _axis_magnitudes(x[0], x[1], b_fixed))
+    # LM mostly asks for the Jacobian at the x it has just evaluated: reuse that residual
+    last = [None, None]
+
+    def fun(x):
+        last[:] = x.copy(), residuals(x)
+        return last[1]
+
+    def jac(x):
+        return _forward_jacobian(residuals, x, last[1] if np.array_equal(x, last[0]) else None)
+
+    fit = least_squares(fun, x0, jac=jac, method="lm",
                         xtol=1e-15, ftol=1e-15, gtol=1e-15, max_nfev=400)
     theta, phi = _wrap_solution_angles(fit.x[0], fit.x[1])
     b = float(b_fixed) if b_fixed is not None else abs(float(fit.x[2]))

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from levitaq.cli import run
+from levitaq.dataio import read_key_values
 
 TWO_PI = 2.0 * math.pi
 
@@ -330,3 +331,88 @@ class TestDeterminism:
             assert code == 0
         assert ((tmp_path / "ta" / "trajectory.csv").read_bytes()
                 == (tmp_path / "tb" / "trajectory.csv").read_bytes())
+
+
+def _files(run_dir):
+    return {p.name: p.read_bytes() for p in run_dir.iterdir()}
+
+
+class TestRunDirectories:
+    def test_other_subcommand_in_run_directory_exits_1(self, tmp_path, capsys):
+        code, _, _ = run_cli(capsys, "radiation", "--out", str(tmp_path), "--name", "x")
+        assert code == 0
+        before = _files(tmp_path / "x")
+        code, out, err = run_cli(capsys, "trap-sim", "--t-end-s", "1e-4",
+                                 "--out", str(tmp_path), "--name", "x")
+        assert code == 1
+        assert out == ""
+        assert len(err.strip().splitlines()) == 1
+        assert "'radiation'" in err
+        assert _files(tmp_path / "x") == before
+
+    def test_same_subcommand_overwrites(self, tmp_path, capsys):
+        for power in ("1e-3", "2e-3"):
+            code, _, _ = run_cli(capsys, "radiation", "--power-w", power,
+                                 "--out", str(tmp_path), "--name", "x")
+            assert code == 0
+        assert read_key_values(tmp_path / "x" / "resolved.cfg")["power_w"] == "0.002"
+
+    @pytest.mark.parametrize("argv", [("radiation",), ("stability-scan", "--n-scan", "7")])
+    def test_resolved_cfg_replays_the_run(self, tmp_path, capsys, argv):
+        code, _, _ = run_cli(capsys, *argv, "--out", str(tmp_path), "--name", "first")
+        assert code == 0
+        code, _, _ = run_cli(capsys, argv[0], "--config",
+                             str(tmp_path / "first" / "resolved.cfg"),
+                             "--out", str(tmp_path), "--name", "replay")
+        assert code == 0
+        assert _files(tmp_path / "replay") == _files(tmp_path / "first")
+
+    def test_config_for_other_subcommand_exits_1(self, tmp_path, capsys):
+        cfg = tmp_path / "r.cfg"
+        cfg.write_text("subcommand = radiation\n")
+        code, out, err = run_cli(capsys, "trap-sim", "--config", str(cfg),
+                                 "--out", str(tmp_path))
+        assert code == 1
+        assert out == ""
+        assert "'radiation'" in err and "unknown config key" not in err
+        assert not (tmp_path / "trap-sim").exists()
+
+
+@pytest.fixture(scope="module")
+def forward_spectra(tmp_path_factory):
+    root = tmp_path_factory.mktemp("spectra")
+    assert run(["esr-forward", "--out", str(root), "--name", "before"]) == 0
+    assert run(["esr-forward", "--theta-deg", "0", "--out", str(root), "--name", "after"]) == 0
+    return root / "before" / "spectrum.csv", root / "after" / "spectrum.csv"
+
+
+_ARTIFACTS = {
+    "trap-sim": ({"trajectory.csv"}, ["--t-end-s", "1e-4"]),
+    "stability-scan": ({"scan.csv", "boundary.txt"}, ["--n-scan", "3"]),
+    "ramp-infer": ({"ramp.txt"}, []),
+    "radiation": ({"radiation.txt"}, []),
+    "angular-sim": ({"angle.csv"}, ["--t-end-s", "1e-3"]),
+    "esr-forward": ({"spectrum.csv", "dips.csv"}, ["--grid-points", "2001"]),
+    "esr-broadened": ({"spectrum.csv"}, ["--grid-points", "2001", "--n-cells", "20"]),
+    "esr-solve": ({"solution.txt"}, []),
+    "esr-compare": ({"report.txt"}, ["--b-gauss", "83.06930964009"]),
+}
+
+
+@pytest.mark.parametrize("sub", sorted(_ARTIFACTS))
+def test_each_subcommand_writes_exactly_its_artifacts(tmp_path, capsys, forward_spectra, sub):
+    expected, argv = _ARTIFACTS[sub]
+    before, after = forward_spectra
+    if sub == "esr-solve":
+        argv = ["--input", str(before)]
+    elif sub == "esr-compare":
+        argv = argv + ["--input-before", str(before), "--input-after", str(after)]
+    code, _, err = run_cli(capsys, sub, *argv, "--out", str(tmp_path))
+    assert code == 0, err
+    run_dir = tmp_path / sub
+    names = {p.name for p in run_dir.iterdir()}
+    assert names == expected | {"resolved.cfg"}
+    for name in names:
+        if name.endswith((".txt", ".cfg")):  # the key = value artifacts
+            assert read_key_values(run_dir / name)
+    assert read_key_values(run_dir / "resolved.cfg")["subcommand"] == sub

@@ -3,9 +3,9 @@ import math
 import numpy as np
 import pytest
 
-from levitaq.dataio import (ingest_spectrum, solution_lines, write_angle_trajectory,
-                            write_rotation_report, write_solution, write_spectrum,
-                            write_trajectory)
+from levitaq.dataio import (ingest_spectrum, read_key_values, solution_lines,
+                            write_angle_trajectory, write_key_values, write_rotation_report,
+                            write_rows, write_solution, write_spectrum, write_trajectory)
 from levitaq.errors import ConfigError
 from levitaq.esr import Spectrum
 from levitaq.rotation import AngleTrajectory
@@ -126,3 +126,33 @@ class TestSolutionFiles:
     def test_solution_lines_prefixed(self):
         lines = solution_lines(self._solution(), prefix="x_")
         assert all(line.startswith("x_") for line in lines)
+
+
+class TestTextWriters:
+    def test_key_values_format_and_read_back(self, tmp_path):
+        path = tmp_path / "kv.txt"
+        write_key_values(path, [("x", 0.1), ("y", np.float64(1e-300)), ("n", 7),
+                                ("ok", True), ("flag", np.bool_(False)), ("name", "a b")])
+        assert path.read_text() == ("x = 0.10000000000000001\ny = 1e-300\n"
+                                    "n = 7\nok = true\nflag = false\nname = a b\n")
+        kv = read_key_values(path)
+        assert float(kv["x"]) == 0.1 and float(kv["y"]) == 1e-300
+        assert kv["name"] == "a b"
+
+    def test_read_key_values_rejects_duplicates_and_bare_lines(self, tmp_path):
+        path = tmp_path / "kv.txt"
+        path.write_text("a = 1\na = 2\n")
+        with pytest.raises(ConfigError, match="line 2: duplicate key 'a'"):
+            read_key_values(path)
+        path.write_text("# comment\n\nnot a pair\n")
+        with pytest.raises(ConfigError, match="line 3: expected 'key = value'"):
+            read_key_values(path)
+
+    def test_failed_write_keeps_old_file_and_leaves_no_temporary(self, tmp_path):
+        path = tmp_path / "rows.csv"
+        write_rows(path, "a,b", [[1.0, 2.0], [3.0, 4.0]])
+        before = path.read_bytes()
+        with pytest.raises(TypeError):
+            write_rows(path, "a,b", [[5.0, 6.0], [7.0, "not a number"]])
+        assert path.read_bytes() == before
+        assert [p.name for p in tmp_path.iterdir()] == ["rows.csv"]

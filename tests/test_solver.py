@@ -313,6 +313,20 @@ def test_forward_jacobian_reproduces_scipy_lm_iterates(name, b_fixed):
         assert direct.nfev == scipy_fd.nfev
 
 
+@pytest.mark.parametrize("b_fixed", [None, 55.0])
+def test_forward_jacobian_reuses_given_residual(b_fixed):
+    """A residual passed as f0 gives the same Jacobian bit for bit, one call fewer."""
+    residuals = _residual_fun(_LM_INPUTS["merged-110-plane"], b_fixed)
+    calls = []
+    fun = lambda x: calls.append(1) or residuals(x)
+    x = np.array([0.3, 0.7, 50.0])[:2 if b_fixed is not None else 3]
+    fresh = solver._forward_jacobian(fun, x)
+    n_fresh = len(calls)
+    reused = solver._forward_jacobian(fun, x, residuals(x))
+    assert reused.tobytes() == fresh.tobytes()
+    assert len(calls) - n_fresh == n_fresh - 1
+
+
 def _orientation_class_per_matrix(theta, phi):
     """_orientation_class with each signed permutation built and applied alone."""
     bhat = FieldOrientation(b_gauss=1.0, theta=theta, phi=phi).unit_vector()
