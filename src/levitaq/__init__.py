@@ -7,8 +7,8 @@ magnitude from resonance dip positions, and rotation detection between two
 spectra.
 """
 
-from .core import (CONSTANTS, DIAMOND_DENSITY, Particle, PhysicalConstants,
-                   moment_of_inertia, nv_axes, particle_mass)
+from .core import (CONSTANTS, DIAMOND_DENSITY, Particle, PhysicalConstants, nv_axes,
+                   particle_mass)
 from .errors import (ConfigError, ConvergenceError, PhysicsError, SolverError,
                      UntrappedParticleError)
 from .esr import (FieldOrientation, LineModel, Spectrum, ZeemanShifts,
@@ -16,15 +16,15 @@ from .esr import (FieldOrientation, LineModel, Spectrum, ZeemanShifts,
                   sweep_amplitudes, synth_spectrum, uniform_grid, zeeman_shifts)
 from .rotation import (AngleTrajectory, AngularState, AngularTrapParams,
                        angular_stability, integrate_angle, libration_frequency,
-                       libration_scale_estimate, shape_factor)
+                       shape_factor)
 from .solver import (EsrSolution, PeakList, RotationReport, compare_orientations,
-                     degeneracy_classes, detect_peaks, equidistant_inversion,
-                     solve_equidistant, solve_general)
+                     detect_peaks, equidistant_inversion, solve_equidistant,
+                     solve_general)
 from .spectral import dominant_frequency
 from .trap import (STABILITY_Q_MAX, FloquetResult, LaserConfig, Trajectory,
-                   TrapConfig, charge_to_mass_from_instability, dc_offset_displacement,
-                   drive_curvature, equilibrium_displacement, find_stability_boundary,
-                   floquet_stability, frequency_ramp_instability, integrate_motion,
-                   mathieu_q, radiation_pressure_force, secular_frequency)
+                   TrapConfig, charge_to_mass_from_instability, drive_curvature,
+                   equilibrium_displacement, find_stability_boundary, floquet_stability,
+                   frequency_ramp_instability, integrate_motion, mathieu_q,
+                   radiation_pressure_force, secular_frequency)
 
 __version__ = "0.1.0"

@@ -7,9 +7,9 @@ the run, into a run directory that holds one subcommand's runs.  ``dataio``
 writes and reads every file.  All frequencies in configs and summaries are
 ordinary Hz; conversion to angular rates happens only at this boundary.
 
-Exit codes: 0 success, 1 malformed config or input file, or a file that
-cannot be read or written, 2 physics-domain error, 3 solver or convergence
-failure.
+Exit codes: 0 success, 1 malformed config or input file, a file that cannot
+be read or written, or an arithmetic fault (subcommands compute with numpy's
+float errors raised), 2 physics-domain error, 3 solver or convergence failure.
 """
 
 from __future__ import annotations
@@ -425,10 +425,11 @@ def run(argv=None) -> int:
         run_dir.mkdir(parents=True, exist_ok=True)
         dataio.write_key_values(resolved, [("subcommand", sub), *sorted(cfg.items())])
 
-        summary = _RUNNERS[sub](cfg, run_dir)
+        with np.errstate(over="raise", divide="raise", invalid="raise"):
+            summary = _RUNNERS[sub](cfg, run_dir)
         print(f"{summary} out={run_dir}")
         return 0
-    except (ConfigError, ValueError, OSError) as exc:
+    except (ConfigError, ValueError, OSError, ArithmeticError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except PhysicsError as exc:

@@ -36,8 +36,9 @@ class Particle:
     """A homogeneous ellipsoidal (or spherical) charged particle.
 
     ``semi_axes`` are the body-frame principal semi-axes (a, b, c) in metres,
-    aligned with the body x, y, z directions.  Mass is always derived from
-    density and volume, never stored.
+    aligned with the body x, y, z directions; ``Particle.sphere`` builds the
+    equal-axis case from a diameter.  Mass is always derived from density and
+    volume, never stored.
     """
 
     semi_axes: tuple[float, float, float]
@@ -62,16 +63,6 @@ class Particle:
         r = diameter / 2.0
         return cls(semi_axes=(r, r, r), density=density, total_charge=total_charge)
 
-    @classmethod
-    def ellipsoid(cls, a: float, b: float, c: float, density: float = DIAMOND_DENSITY,
-                  total_charge: float = 0.0) -> "Particle":
-        return cls(semi_axes=(a, b, c), density=density, total_charge=total_charge)
-
-    @property
-    def is_sphere(self) -> bool:
-        a, b, c = self.semi_axes
-        return a == b == c
-
 
 def particle_mass(p: Particle) -> float:
     """Mass in kg: density times ellipsoid volume (4/3)*pi*a*b*c."""
@@ -79,24 +70,9 @@ def particle_mass(p: Particle) -> float:
     return p.density * (4.0 / 3.0) * math.pi * a * b * c
 
 
-def moment_of_inertia(p: Particle) -> np.ndarray:
-    """Principal moments of inertia (I_xx, I_yy, I_zz) of the solid ellipsoid.
-
-    I_xx = m (b^2 + c^2) / 5 and cyclic permutations.
-    """
-    a, b, c = p.semi_axes
-    m = particle_mass(p)
-    return np.array([
-        m * (b * b + c * c) / 5.0,
-        m * (a * a + c * c) / 5.0,
-        m * (a * a + b * b) / 5.0,
-    ])
-
-
 # The four defect symmetry axes of the diamond lattice, in the crystal cube
 # frame.  Kept unnormalized (norm sqrt(3)): the projection formulas and field
-# magnitudes quoted by the inverse solvers assume this convention.  Pass
-# normalized=True for work calibrated against unit axis vectors.
+# magnitudes quoted by the inverse solvers assume this convention.
 _NV_AXES = np.array([
     [1.0, 1.0, 1.0],
     [-1.0, 1.0, 1.0],
@@ -106,10 +82,6 @@ _NV_AXES = np.array([
 _NV_AXES.setflags(write=False)
 
 
-def nv_axes(normalized: bool = False) -> np.ndarray:
+def nv_axes() -> np.ndarray:
     """The four crystal-frame defect axis directions, fixed order, shape (4, 3)."""
-    if normalized:
-        out = _NV_AXES / math.sqrt(3.0)
-        out.setflags(write=False)
-        return out
     return _NV_AXES

@@ -13,6 +13,7 @@ from __future__ import annotations
 import itertools
 import math
 import os
+import re
 import warnings
 from pathlib import Path
 
@@ -69,14 +70,15 @@ def write_key_values(path, pairs) -> None:
 
 
 def read_key_values(path) -> dict[str, str]:
-    """Read ``key = value`` lines; ``#`` starts a comment, blank lines are
-    skipped, and a line without ``=`` or a repeated key is a ``ConfigError``."""
+    """Read ``key = value`` lines; ``#`` at a line start or after whitespace
+    starts a comment, blank lines are skipped, and a line without ``=`` or a
+    repeated key is a ``ConfigError``."""
     p = Path(path)
     if not p.is_file():
         raise ConfigError(f"config file not found: {p}")
     out: dict[str, str] = {}
     for line_no, line in enumerate(p.read_text().splitlines(), start=1):
-        stripped = line.split("#", 1)[0].strip()
+        stripped = re.split(r"(?:^|\s)#", line, maxsplit=1)[0].strip()
         if not stripped:
             continue
         if "=" not in stripped:

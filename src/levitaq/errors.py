@@ -1,7 +1,8 @@
 """Exception types shared across the package.
 
 The CLI maps these onto process exit codes: ConfigError -> 1,
-PhysicsError -> 2, SolverError and ConvergenceError -> 3.
+PhysicsError -> 2, SolverError and ConvergenceError -> 3; an arithmetic
+fault (ArithmeticError, numpy's raised float errors included) also exits 1.
 """
 
 

@@ -3,7 +3,7 @@
 Dip positions follow from the projections of the magnetic field onto the
 four defect axes: axis i contributes a resonance pair at
 D +- gamma_e * (x_i . B_hat) * B around the zero-field splitting D.  The
-axis vectors are unnormalized by default (see levitaq.core.nv_axes).
+axis vectors are unnormalized, with norm sqrt(3) (see levitaq.core.nv_axes).
 
 For a crystal spinning about a fixed axis, each projection sweeps
 sinusoidally, so the time-averaged line is the static Lorentzian convolved
@@ -123,10 +123,9 @@ class ZeemanShifts:
     dip_frequencies_hz: np.ndarray
 
 
-def zeeman_shifts(field: FieldOrientation, normalized: bool = False) -> ZeemanShifts:
+def zeeman_shifts(field: FieldOrientation) -> ZeemanShifts:
     """Resonance shifts of the four axis families for a static field."""
-    axes = nv_axes(normalized=normalized)
-    proj = axes @ field.unit_vector()
+    proj = nv_axes() @ field.unit_vector()
     shifts = CONSTANTS.gamma_e_hz_per_gauss * field.b_gauss * proj
     d = CONSTANTS.zero_field_splitting_hz
     dips = np.sort(np.concatenate([d - np.abs(shifts), d + np.abs(shifts)]))

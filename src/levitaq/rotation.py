@@ -12,8 +12,7 @@ angular frequency omega_alpha.
 
 omega_alpha is a direct model input here: the closing relation tying it to
 the center-of-mass confinement, the moment of inertia, and the surface shape
-factor is not established, so only an order-of-magnitude helper is provided
-(see libration_scale_estimate).
+factor is not established.
 """
 
 from __future__ import annotations
@@ -28,9 +27,10 @@ import numpy as np
 from .core import Particle
 from .errors import ConvergenceError, SolverError
 from .spectral import dominant_frequency
-from .trap import FloquetResult, _fixed_step_count, floquet_stability
+from .trap import _fixed_step_count, floquet_stability
 
 _SHAPE_MAX_REFINEMENTS = 7  # grid doublings of the surface quadrature
+_SHAPE_RTOL = 1e-8  # relative change between refinements counted as converged
 
 
 @dataclass(frozen=True)
@@ -71,13 +71,13 @@ class AngleTrajectory:
             arr.setflags(write=False)
 
 
-def shape_factor(p: Particle, tol: float = 1e-8) -> float:
+def shape_factor(p: Particle) -> float:
     """Surface shape factor S_I = (3/S) * integral of (z^2 - x^2) over the surface (m^2).
 
     Computed in the body frame (semi-axis c along z) by a tensor-product rule:
     Gauss-Legendre in u = cos(polar angle) and a uniform periodic rule in the
-    azimuth, refined until the result changes by less than ``tol`` relative
-    to its magnitude.  Vanishes for a sphere; positive for a prolate body
+    azimuth, refined until the result changes by less than 1e-8 relative to
+    its magnitude.  Vanishes for a sphere; positive for a prolate body
     with its long axis along z; scales as length^2.
     """
     a, b, c = p.semi_axes
@@ -107,7 +107,7 @@ def shape_factor(p: Particle, tol: float = 1e-8) -> float:
         nth *= 2
         cur = evaluate(nu, nth)
         # absolute floor keeps the sphere's exact zero from stalling the test
-        if abs(cur - prev) <= tol * max(abs(cur), 1e-3 * scale):
+        if abs(cur - prev) <= _SHAPE_RTOL * max(abs(cur), 1e-3 * scale):
             return cur
         prev = cur
     raise ConvergenceError(
@@ -195,25 +195,10 @@ def libration_frequency(traj: AngleTrajectory) -> float:
 class AngularStabilityResult:
     stable: bool
     q_alpha: float
-    floquet: FloquetResult
 
 
 def angular_stability(params: AngularTrapParams) -> AngularStabilityResult:
     """Small-angle stability about alpha = 0 via the shared monodromy oracle."""
     q_alpha = 2.0 * math.sqrt(2.0) * params.omega_alpha / params.drive_freq
-    res = floquet_stability(0.0, q_alpha)
-    return AngularStabilityResult(stable=res.stable, q_alpha=q_alpha, floquet=res)
-
-
-def libration_scale_estimate(omega_z: float, mass: float, shape_factor_value: float,
-                             inertia_yy: float) -> float:
-    """Heuristic scale omega_z * sqrt(m * |S_I| / I_yy) for the libration frequency.
-
-    UNVERIFIED: this candidate scaling follows from dimensional analysis of
-    the surface-torque integral but has not been validated against any
-    reference; treat the result as an order of magnitude only and prefer a
-    measured or explicitly chosen omega_alpha.
-    """
-    if not (omega_z > 0.0 and mass > 0.0 and inertia_yy > 0.0):
-        raise ValueError("omega_z, mass and inertia_yy must be > 0")
-    return omega_z * math.sqrt(mass * abs(shape_factor_value) / inertia_yy)
+    return AngularStabilityResult(stable=floquet_stability(0.0, q_alpha).stable,
+                                  q_alpha=q_alpha)

@@ -76,8 +76,9 @@ class EsrSolution:
 def detect_peaks(spectrum: Spectrum, min_depth: float, min_separation: float) -> PeakList:
     """Locate dips: smooth, take local minima deeper than ``min_depth``, merge close ones.
 
-    The moving-average window is a quarter of ``min_separation``; minima
-    closer than ``min_separation`` are merged, keeping the deeper one.
+    The moving-average window is a quarter of ``min_separation`` and may not
+    span more points than the spectrum has; minima closer than
+    ``min_separation`` are merged, keeping the deeper one.
     """
     if not (min_depth > 0.0):
         raise ValueError("min_depth must be > 0")
@@ -88,6 +89,9 @@ def detect_peaks(spectrum: Spectrum, min_depth: float, min_separation: float) ->
     df = spectrum.grid_step
 
     window = max(1, int(round(min_separation / 4.0 / df)))
+    if window > v.size:  # np.convolve would cost window * size operations
+        raise ValueError(f"min_separation {min_separation:g} Hz gives a smoothing window of "
+                         f"{window} points, longer than the {v.size}-point spectrum")
     if window > 1:
         pad = window // 2
         padded = np.concatenate([np.full(pad, v[0]), v, np.full(window - 1 - pad, v[-1])])
@@ -147,12 +151,6 @@ def _orientation_class(theta: float, phi: float) -> tuple[list[tuple[float, floa
     # sort on rounded keys so numerical noise cannot scramble the order
     out = sorted(members.values(), key=lambda m: (round(m[0], 7), round(m[1], 7)))
     return out, continuous
-
-
-def degeneracy_classes(solution: EsrSolution) -> list[tuple[float, float]]:
-    """Equivalent (theta, phi) orientations producing the same eight-dip set."""
-    members, _ = _orientation_class(solution.theta, solution.phi)
-    return members
 
 
 def equidistant_inversion(omega1_hz: float, omega2_hz: float) -> tuple[float, float, float]:

@@ -146,7 +146,10 @@ def charge_to_mass_from_instability(omega_unstable: float, xi: float) -> float:
         raise ValueError("omega_unstable must be > 0")
     if not (xi > 0.0):
         raise ValueError("xi must be > 0")
-    return STABILITY_Q_MAX * omega_unstable ** 2 / (4.0 * xi)
+    ratio = STABILITY_Q_MAX * omega_unstable ** 2 / (4.0 * xi)
+    if not math.isfinite(ratio):
+        raise ValueError(f"charge-to-mass ratio {ratio} is not finite")
+    return ratio
 
 
 def drive_curvature(trap: TrapConfig) -> float:
@@ -322,7 +325,8 @@ def integrate_motion(trap: TrapConfig, p: Particle,
     ``forces`` is a list of constant external force vectors (N).  Integration
     stops early with the escape flag set once any coordinate exceeds
     100 * z0.  Requires 0 < dt <= 2 pi / (200 Omega) so the drive is resolved,
-    and at most 1e8 steps and 1e7 stored samples.
+    and at most 1e8 steps and 1e7 stored samples.  Raises FloatingPointError
+    when the motion leaves the floating-point range before it escapes.
     """
     n_steps = _fixed_step_count(t_end, dt, trap.drive_freq, store_every)
     m = particle_mass(p)
@@ -342,8 +346,9 @@ def integrate_motion(trap: TrapConfig, p: Particle,
         t = np.arange(k, min(k + _BLOCK, n_steps)) * dt
         c = cd * np.cos(om * (t + _STAGES * dt))
         # the x and y axes share the radial stiffness -c/2, z (taken twice) has stiffness c
-        prop = _propagate(_rk4_transfer(*(c[..., None] * (-0.5, 1.0)), trap.damping_gamma, dt),
-                          np.stack([state[:, :2], state[:, [2, 2]]]))
+        transfer = _rk4_transfer(*(c[..., None] * (-0.5, 1.0)), trap.damping_gamma, dt)
+        with np.errstate(over="ignore", invalid="ignore"):  # only kept states must be finite
+            prop = _propagate(transfer, np.stack([state[:, :2], state[:, [2, 2]]]))
         states = np.concatenate([prop[:, 0], prop[:, 1, :, :1]], axis=2)
         step = np.arange(k + 1, k + 1 + len(t))
         keep = (step % store_every == 0) | (step == n_steps)
@@ -352,8 +357,11 @@ def integrate_motion(trap: TrapConfig, p: Particle,
             escape_step = int(step[out[0]])
             keep[out[0]] = True
             keep[out[0] + 1:] = False
+        kept = states[keep, :2]
+        if not np.all(np.isfinite(kept)):
+            raise FloatingPointError("the motion overflowed before it crossed the escape radius")
         steps_kept.append(step[keep])
-        states_kept.append(states[keep, :2])
+        states_kept.append(kept)
         if escape_step is not None:
             break
         state = states[-1]
@@ -422,22 +430,6 @@ def frequency_ramp_instability(trap: TrapConfig, p: Particle,
         state = states[-1]
 
     raise PhysicsError("stable over full ramp: no instability detected")
-
-
-def dc_offset_displacement(trap: TrapConfig, p: Particle, v_dc: float) -> float:
-    """Signed equilibrium shift (m) along z from a static offset voltage.
-
-    The static field is linearized as E_dc = v_dc / z0,
-    pointing along +z for positive v_dc, so the shift Q*E_dc/(m*omega_z^2)
-    flips sign with the particle charge: a negatively charged particle moves
-    toward -z under positive voltage.
-    """
-    if p.total_charge == 0.0:
-        raise UntrappedParticleError("uncharged particle does not respond harmonically")
-    wz = secular_frequency(trap, p)
-    m = particle_mass(p)
-    e_dc = v_dc / trap.z0
-    return p.total_charge * e_dc / (m * wz ** 2)
 
 
 def radiation_pressure_force(laser: LaserConfig) -> float:

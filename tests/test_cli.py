@@ -129,6 +129,13 @@ class TestPhysicsAndSolverExitCodes:
         ("trap-sim", "--dt-s", "1e-300"),
         ("angular-sim", "--dt-s", "1e-300"),
         ("ramp-infer", "--ramp-rate-hz-s", "1e-300"),
+        # arithmetic faults: division by zero, overflow and non-finite results
+        ("ramp-infer", "--diameter-m", "1e300"),
+        ("trap-sim", "--diameter-m", "1e-300", "--charge-e", "5e-324"),
+        ("radiation", "--density-kg-m3", "5e-324"),
+        ("radiation", "--omega-x-hz", "1e300"),
+        ("trap-sim", "--density-kg-m3", "1e-300", "--diameter-m", "0.5", "--v-ac-volts", "2"),
+        ("ramp-infer", "--xi-v-m2", "5e-324"),
     ])
     def test_malformed_numeric_input_exits_1_with_one_line(self, tmp_path, capsys, argv):
         code, out, err = run_cli(capsys, *argv, "--out", str(tmp_path))
@@ -136,6 +143,30 @@ class TestPhysicsAndSolverExitCodes:
         assert out == ""
         assert len(err.strip().splitlines()) == 1
         assert "Traceback" not in err
+
+    @pytest.mark.parametrize("sub", ["esr-solve", "esr-compare"])
+    def test_smoothing_window_longer_than_spectrum_exits_1(self, tmp_path, capsys,
+                                                           forward_spectra, sub):
+        before, after = forward_spectra
+        inputs = (["--input", str(before)] if sub == "esr-solve" else
+                  ["--input-before", str(before), "--input-after", str(after),
+                   "--b-gauss", "83.06930964009"])
+        code, out, err = run_cli(capsys, sub, *inputs, "--min-separation-hz", "1e12",
+                                 "--out", str(tmp_path))
+        assert code == 1
+        assert out == ""
+        assert len(err.strip().splitlines()) == 1
+        assert "smoothing window" in err
+
+    def test_escape_past_the_float_range_still_exits_0(self, tmp_path, capsys):
+        # q ~ 800: the block that crosses the escape radius overflows after it
+        code, out, err = run_cli(capsys, "trap-sim", "--v-ac-volts", "1e7",
+                                 "--out", str(tmp_path))
+        assert code == 0, err
+        assert "escaped=true" in out
+        traj = np.loadtxt(tmp_path / "trap-sim" / "trajectory.csv", delimiter=",",
+                          skiprows=1)
+        assert np.all(np.isfinite(traj))
 
     def test_unwritable_output_root_exits_1_with_one_line(self, tmp_path, capsys):
         blocker = tmp_path / "file"
@@ -366,6 +397,20 @@ class TestRunDirectories:
                              "--out", str(tmp_path), "--name", "replay")
         assert code == 0
         assert _files(tmp_path / "replay") == _files(tmp_path / "first")
+
+    def test_input_path_with_hash_replays(self, tmp_path, capsys, forward_spectra):
+        spectrum = tmp_path / "a#b" / "spectrum.csv"
+        spectrum.parent.mkdir()
+        spectrum.write_bytes(forward_spectra[0].read_bytes())
+        code, _, err = run_cli(capsys, "esr-solve", "--input", str(spectrum),
+                               "--out", str(tmp_path), "--name", "first")
+        assert code == 0, err
+        code, _, err = run_cli(capsys, "esr-solve", "--config",
+                               str(tmp_path / "first" / "resolved.cfg"),
+                               "--out", str(tmp_path), "--name", "replay")
+        assert code == 0, err
+        assert ((tmp_path / "replay" / "solution.txt").read_bytes()
+                == (tmp_path / "first" / "solution.txt").read_bytes())
 
     def test_config_for_other_subcommand_exits_1(self, tmp_path, capsys):
         cfg = tmp_path / "r.cfg"

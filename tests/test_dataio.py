@@ -148,6 +148,12 @@ class TestTextWriters:
         with pytest.raises(ConfigError, match="line 3: expected 'key = value'"):
             read_key_values(path)
 
+    def test_hash_starts_a_comment_only_at_line_start_or_after_space(self, tmp_path):
+        path = tmp_path / "kv.txt"
+        path.write_text("#a = 1\ninput = runs/a#b/spectrum.csv  # note\n"
+                        "b = 2 #c = 3\n\t# d = 4\n")
+        assert read_key_values(path) == {"input": "runs/a#b/spectrum.csv", "b": "2"}
+
     def test_failed_write_keeps_old_file_and_leaves_no_temporary(self, tmp_path):
         path = tmp_path / "rows.csv"
         write_rows(path, "a,b", [[1.0, 2.0], [3.0, 4.0]])

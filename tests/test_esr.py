@@ -87,12 +87,6 @@ class TestZeemanShifts:
         zs = zeeman_shifts(FieldOrientation(b_gauss=50.0, theta=0.0, phi=PHI_REF))
         assert np.unique(np.round(zs.dip_frequencies_hz, 3)).size == 4
 
-    def test_normalized_convention_scales_down_by_sqrt3(self):
-        f = canonical_field()
-        raw = zeeman_shifts(f).shifts_hz
-        unit = zeeman_shifts(f, normalized=True).shifts_hz
-        np.testing.assert_allclose(unit, raw / math.sqrt(3.0), rtol=1e-12)
-
 
 class TestSynthSpectrum:
     def test_single_dip_depth_and_halfwidth(self):

@@ -4,14 +4,17 @@ import numpy as np
 import pytest
 from scipy.integrate import solve_ivp
 
-from levitaq.core import Particle, moment_of_inertia, particle_mass
+from levitaq.core import DIAMOND_DENSITY, Particle
 from levitaq.errors import SolverError
 from levitaq.rotation import (AngularState, AngularTrapParams, AngleTrajectory,
                               angular_stability, integrate_angle,
-                              libration_frequency, libration_scale_estimate,
-                              shape_factor)
+                              libration_frequency, shape_factor)
 
 TWO_PI = 2.0 * math.pi
+
+
+def ellipsoid(a, b, c):
+    return Particle(semi_axes=(a, b, c), density=DIAMOND_DENSITY, total_charge=0.0)
 
 
 def brute_force_shape_factor(a, b, c, n_phi=640, n_theta=1280):
@@ -35,26 +38,26 @@ class TestShapeFactor:
 
     def test_prolate_positive_and_matches_brute_force(self):
         a, b, c = 1e-6, 1e-6, 2e-6
-        s = shape_factor(Particle.ellipsoid(a, b, c))
+        s = shape_factor(ellipsoid(a, b, c))
         assert s > 0.0
         assert s == pytest.approx(brute_force_shape_factor(a, b, c), rel=1e-5)
 
     def test_oblate_matches_brute_force(self):
         a, b, c = 2e-6, 1.5e-6, 1e-6
-        s = shape_factor(Particle.ellipsoid(a, b, c))
+        s = shape_factor(ellipsoid(a, b, c))
         assert s < 0.0
         assert s == pytest.approx(brute_force_shape_factor(a, b, c), rel=1e-5)
 
     def test_quadratic_scaling(self):
         k = 2.5
-        s1 = shape_factor(Particle.ellipsoid(1e-6, 1.2e-6, 2e-6))
-        s2 = shape_factor(Particle.ellipsoid(k * 1e-6, k * 1.2e-6, k * 2e-6))
+        s1 = shape_factor(ellipsoid(1e-6, 1.2e-6, 2e-6))
+        s2 = shape_factor(ellipsoid(k * 1e-6, k * 1.2e-6, k * 2e-6))
         assert s2 == pytest.approx(k ** 2 * s1, rel=1e-8)
 
     def test_sign_flips_when_long_and_short_axes_swap(self):
         # a 90 degree body-frame rotation about y exchanges the x and z roles
-        s = shape_factor(Particle.ellipsoid(1e-6, 1.3e-6, 2e-6))
-        s_rot = shape_factor(Particle.ellipsoid(2e-6, 1.3e-6, 1e-6))
+        s = shape_factor(ellipsoid(1e-6, 1.3e-6, 2e-6))
+        s_rot = shape_factor(ellipsoid(2e-6, 1.3e-6, 1e-6))
         assert s_rot == pytest.approx(-s, rel=1e-8)
 
 
@@ -175,14 +178,3 @@ class TestAngularStability:
                                                   drive_freq=TWO_PI * 5000.0))
         assert res.q_alpha == 0.0
         assert res.stable
-
-
-def test_libration_scale_estimate_is_dimensionally_sane():
-    p = Particle.ellipsoid(1e-6, 1e-6, 2e-6, total_charge=-1e-15)
-    s = shape_factor(p)
-    iyy = moment_of_inertia(p)[1]
-    m = particle_mass(p)
-    w = libration_scale_estimate(TWO_PI * 1000.0, m, s, iyy)
-    assert w > 0.0
-    assert libration_scale_estimate(TWO_PI * 2000.0, m, s, iyy) == pytest.approx(
-        2.0 * w, rel=1e-12)

@@ -13,9 +13,8 @@ from levitaq.errors import SolverError
 from levitaq.esr import (FieldOrientation, LineModel, Spectrum, synth_spectrum,
                          uniform_grid, zeeman_shifts)
 from levitaq.solver import (EsrSolution, PeakList, compare_orientations,
-                            degeneracy_classes, detect_peaks,
-                            equidistant_inversion, solve_equidistant,
-                            solve_general)
+                            detect_peaks, equidistant_inversion,
+                            solve_equidistant, solve_general)
 
 D_ZFS = 2.87e9
 THETA_REF = math.atan(2.0)                # 63.4349 degrees
@@ -66,6 +65,16 @@ class TestDetectPeaks:
                               grid)
         with pytest.raises(SolverError, match="no dips"):
             detect_peaks(flat, min_depth=0.05, min_separation=10e6)
+
+    def test_window_longer_than_spectrum_rejected(self):
+        s = self._render([D_ZFS], n=1001)
+        # a window of the whole grid fits, and smooths the dip away
+        with pytest.raises(SolverError, match="no dips"):
+            detect_peaks(s, min_depth=0.01, min_separation=4.0 * 1001 * s.grid_step)
+        with pytest.raises(ValueError, match="longer than the 1001-point spectrum"):
+            detect_peaks(s, min_depth=0.01, min_separation=4.0 * 1002 * s.grid_step)
+        with pytest.raises(ValueError, match="smoothing window"):
+            detect_peaks(s, min_depth=0.01, min_separation=1e12)
 
     def test_positions_invariant_under_contrast_scaling(self):
         dips = dips_for(THETA_REF, PHI_REF, B_REF)
@@ -179,7 +188,7 @@ class TestSolveGeneral:
 class TestDegeneracyClasses:
     def test_class_contains_quarter_turns(self):
         sol = solve_equidistant(CANONICAL_PEAKS)
-        members = degeneracy_classes(sol)
+        members = sol.degeneracy_class
         assert len(members) >= 4
         for n in range(4):
             target = (THETA_REF + n * math.pi / 2.0) % (2.0 * math.pi)
@@ -189,7 +198,7 @@ class TestDegeneracyClasses:
     def test_all_members_produce_identical_dip_sets(self):
         sol = solve_equidistant(CANONICAL_PEAKS)
         base = np.sort(dips_for(sol.theta, sol.phi, sol.b_gauss))
-        for t, p in degeneracy_classes(sol):
+        for t, p in sol.degeneracy_class:
             np.testing.assert_allclose(np.sort(dips_for(t, p, sol.b_gauss)), base,
                                        atol=1e3)
 

@@ -13,8 +13,7 @@ from levitaq.core import Particle, particle_mass
 from levitaq.errors import PhysicsError, UntrappedParticleError
 from levitaq.spectral import dominant_frequency
 from levitaq.trap import (STABILITY_Q_MAX, LaserConfig, TrapConfig,
-                          charge_to_mass_from_instability, dc_offset_displacement,
-                          drive_curvature, equilibrium_displacement,
+                          charge_to_mass_from_instability, drive_curvature, equilibrium_displacement,
                           find_stability_boundary, floquet_stability,
                           frequency_ramp_instability, integrate_motion, mathieu_q,
                           radiation_pressure_force, secular_frequency)
@@ -435,28 +434,6 @@ def test_propagate_matches_sequential_products(n, batch, k, seed):
     steps = np.arange(2, n + 2).reshape((n,) + (1,) * len(batch))
     err = np.abs(out - ref).max(axis=(-2, -1))
     assert np.all(err <= 10.0 * np.finfo(float).eps * 3 * steps * bound)
-
-
-class TestDcOffset:
-    def test_sign_flips_with_charge(self):
-        trap = reference_trap()
-        d_pos = dc_offset_displacement(trap, reference_particle(5000.0), v_dc=10.0)
-        d_neg = dc_offset_displacement(trap, reference_particle(-5000.0), v_dc=10.0)
-        assert d_pos == pytest.approx(-d_neg, rel=1e-12)
-
-    def test_negative_charge_moves_against_field(self):
-        # documented convention: E_dc along +z for positive voltage
-        d = dc_offset_displacement(reference_trap(), reference_particle(-5000.0),
-                                   v_dc=10.0)
-        assert d < 0.0
-
-    def test_zero_voltage_zero_shift(self):
-        assert dc_offset_displacement(reference_trap(), reference_particle(),
-                                      v_dc=0.0) == 0.0
-
-    def test_zero_charge_rejected(self):
-        with pytest.raises(UntrappedParticleError):
-            dc_offset_displacement(reference_trap(), reference_particle(0.0), 1.0)
 
 
 class TestRadiationPressure:
