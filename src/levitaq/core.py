@@ -65,9 +65,13 @@ class Particle:
 
 
 def particle_mass(p: Particle) -> float:
-    """Mass in kg: density times ellipsoid volume (4/3)*pi*a*b*c."""
+    """Mass in kg: density times ellipsoid volume (4/3)*pi*a*b*c; raises
+    ValueError when that product is not finite and > 0."""
     a, b, c = p.semi_axes
-    return p.density * (4.0 / 3.0) * math.pi * a * b * c
+    m = p.density * (4.0 / 3.0) * math.pi * a * b * c
+    if not (0.0 < m < math.inf):
+        raise ValueError(f"particle mass {m:g} kg must be finite and > 0")
+    return m
 
 
 # The four defect symmetry axes of the diamond lattice, in the crystal cube

@@ -176,9 +176,12 @@ def libration_frequency(traj: AngleTrajectory) -> float:
     """Angular frequency (rad/s) of the dominant sub-drive peak of alpha(t).
 
     The trajectory should span at least ten libration periods for a reliable
-    estimate (a shorter span only earns a warning); an error is raised when
-    no secular peak stands out below half the drive frequency.
+    estimate (a shorter span only earns a warning); an error is raised for an
+    escaped run, which does not librate, and when no secular peak stands out
+    below half the drive frequency.
     """
+    if traj.escaped:
+        raise SolverError("the tilt escaped: no libration to measure")
     f_max = traj.drive_freq / (2.0 * 2.0 * math.pi)  # Hz, half the drive
     try:
         w = dominant_frequency(traj.t, traj.alpha, f_max)

@@ -8,8 +8,8 @@ spectrum unchanged.  Solvers report one representative and enumerate the
 class; ties between exact-fit class members are broken deterministically by
 smallest azimuthal angle, then smallest polar angle.  The general solver
 fits up to eight dips by an exact least-squares solve on the two cones of
-field vectors that hold one member of every class, then one local
-refinement, which also fixes a given field.
+field vectors that hold one member of every class, which is final at free
+field; a given field adds one local refinement.
 """
 
 from __future__ import annotations
@@ -186,21 +186,15 @@ def _axis_magnitudes(theta: float, phi: float, b_gauss: float) -> np.ndarray:
     return np.abs(CONSTANTS.gamma_e_hz_per_gauss * b_gauss * (nv_axes() @ bhat))
 
 
-def _shift_residuals(m_obs: np.ndarray, mags: np.ndarray) -> np.ndarray:
-    """Residual vectors of sorted observed magnitudes ``m_obs`` (n,) against
-    model axis magnitudes ``mags`` (..., 4).
+def _line_residuals(m_lines: np.ndarray, mags: np.ndarray) -> np.ndarray:
+    """Residuals (..., 8) of the eight ascending model lines, each axis
+    magnitude of ``mags`` (..., 4) twice, against ``m_lines`` (..., 8), the
+    observed shift magnitude assigned to each line.
 
-    With eight dips the model magnitudes (each axis twice) are paired with
-    the observations in sorted order - the assignment-optimal matching for
-    scalar shifts - and with exactly four dips one per axis the same way;
-    other dip counts (degenerate or partially merged lines) get a symmetric
-    nearest-match residual of length n + 4.
+    Pairing in sorted order is the assignment-optimal matching for scalar
+    shifts; fewer than eight dips assign each dip a run of consecutive lines.
     """
-    n = m_obs.size
-    if n in (4, 8):
-        return np.sort(np.repeat(mags, n // 4, axis=-1), axis=-1) - m_obs
-    diff = np.abs(m_obs[:, None] - mags[..., None, :])
-    return np.concatenate([diff.min(axis=-1), diff.min(axis=-2)], axis=-1)
+    return np.sort(np.repeat(mags, 2, axis=-1), axis=-1) - m_lines
 
 
 def _cone_faces() -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -261,7 +255,7 @@ def _closed_form(peaks: PeakList,
         theta, phi, b = equidistant_inversion(shifts[0], shifts[1])
     except ValueError as exc:
         return None, f"closed-form inversion rejected the shifts ({exc})"
-    res = _shift_residuals(_shift_magnitudes(peaks), _axis_magnitudes(theta, phi, b))
+    res = _line_residuals(_shift_magnitudes(peaks), _axis_magnitudes(theta, phi, b))
     return _finish_solution(theta, phi, b, float(np.sqrt(np.mean(res ** 2))),
                             method="equidistant"), ""
 
@@ -308,17 +302,18 @@ def _wrap_solution_angles(theta: float, phi: float) -> tuple[float, float]:
 
 def solve_general(peaks: PeakList, residual_threshold_hz: float = 30e6,
                   b_fixed: float | None = None) -> EsrSolution:
-    """Orientation fit: an exact least-squares solve, then one refinement.
+    """Orientation fit: an exact least-squares solve, refined only at a fixed field.
 
-    Dips become shift magnitudes |f - D|, matched to the axis magnitudes as
-    in ``_shift_residuals``.  Every split of the eight ascending lines into
-    one run per dip is fitted on every cone face (``_cone_faces``) with the
-    weights clipped at 0, which the optimum's own face leaves exact.  The
-    best fit, the global optimum for four or eight dips at free field,
-    starts one Levenberg-Marquardt refinement over (theta, phi, B), or a
-    local one over (theta, phi) at ``b_fixed``.  Reports the class member
-    with smallest theta, then phi; raises for more than eight dips or a
-    residual above ``residual_threshold_hz``.
+    Dips become shift magnitudes |f - D|.  Each dip takes a run of
+    consecutive lines of the eight ascending model lines, and four dips are
+    one per axis; the cost is ``_line_residuals``.  Every split into runs is
+    fitted on every cone face (``_cone_faces``) with the weights clipped at
+    0, which the optimum's own face leaves exact, so the best fit is the
+    global optimum at free field and is returned as it is, with the rms over
+    the eight lines.  At ``b_fixed`` it starts one local Levenberg-Marquardt
+    refinement over (theta, phi) with its split held.  Reports the class
+    member with smallest theta, then phi; raises for more than eight dips or
+    a residual above ``residual_threshold_hz``.
     """
     n = len(peaks)
     if n < 1:
@@ -327,37 +322,36 @@ def solve_general(peaks: PeakList, residual_threshold_hz: float = 30e6,
         raise SolverError(f"{n} dips: the four defect axes give at most eight")
     m_obs = _shift_magnitudes(peaks)
 
-    # consecutive runs of the eight ascending lines, one run per observed dip
-    cuts = np.array(list(itertools.combinations(range(1, 8), n - 1)), dtype=int)
-    runs = np.sum(np.arange(8)[:, None] >= cuts[:, None, :], axis=-1)
-    w = np.maximum(np.einsum("fij,kj->kfi", _FACE_PINV, m_obs[runs]), 0.0)
+    cuts = [(2, 4, 6)] if n == 4 else list(itertools.combinations(range(1, 8), n - 1))
+    runs = np.sum(np.arange(8)[:, None] >= np.array(cuts, dtype=int)[:, None, :], axis=-1)
+    lines = m_obs[runs]  # (splits, 8): the observed magnitude of each line
+    w = np.maximum(np.einsum("fij,kj->kfi", _FACE_PINV, lines), 0.0)
     mags = np.einsum("fij,kfj->kfi", _FACE_MAGS, w)
-    costs = np.sum(_shift_residuals(m_obs, mags) ** 2, axis=-1)
+    costs = np.sum(_line_residuals(lines[:, None], mags) ** 2, axis=-1)
     split, face = np.unravel_index(np.argmin(costs), costs.shape)
     v = _FACE_RAYS[face] @ w[split, face]
     v_hz = float(np.linalg.norm(v))
-    x0 = list(_spherical_angles(v / v_hz)) if v_hz > 0.0 else [0.0, 0.0]
-
+    theta, phi = _spherical_angles(v / v_hz) if v_hz > 0.0 else (0.0, 0.0)
     if b_fixed is None:
-        x0.append(v_hz / CONSTANTS.gamma_e_hz_per_gauss)
-        residuals = lambda x: _shift_residuals(m_obs, _axis_magnitudes(x[0], x[1], abs(x[2])))
+        b, rms = v_hz / CONSTANTS.gamma_e_hz_per_gauss, math.sqrt(costs[split, face] / 8.0)
     else:
-        residuals = lambda x: _shift_residuals(m_obs, _axis_magnitudes(x[0], x[1], b_fixed))
-    # LM mostly asks for the Jacobian at the x it has just evaluated: reuse that residual
-    last = [None, None]
+        b = float(b_fixed)
+        residuals = lambda x: _line_residuals(lines[split], _axis_magnitudes(x[0], x[1], b))
+        # LM mostly asks for the Jacobian at the x it has just evaluated: reuse that residual
+        last = [None, None]
 
-    def fun(x):
-        last[:] = x.copy(), residuals(x)
-        return last[1]
+        def fun(x):
+            last[:] = x.copy(), residuals(x)
+            return last[1]
 
-    def jac(x):
-        return _forward_jacobian(residuals, x, last[1] if np.array_equal(x, last[0]) else None)
+        def jac(x):
+            return _forward_jacobian(residuals, x,
+                                     last[1] if np.array_equal(x, last[0]) else None)
 
-    fit = least_squares(fun, x0, jac=jac, method="lm",
-                        xtol=1e-15, ftol=1e-15, gtol=1e-15, max_nfev=400)
-    theta, phi = _wrap_solution_angles(fit.x[0], fit.x[1])
-    b = float(b_fixed) if b_fixed is not None else abs(float(fit.x[2]))
-    rms = float(np.sqrt(np.mean(fit.fun ** 2)))
+        fit = least_squares(fun, [theta, phi], jac=jac, method="lm",
+                            xtol=1e-15, ftol=1e-15, gtol=1e-15, max_nfev=400)
+        theta, phi = _wrap_solution_angles(fit.x[0], fit.x[1])
+        rms = float(np.sqrt(np.mean(fit.fun ** 2)))
     if rms > residual_threshold_hz:
         raise SolverError(
             f"no consistent orientation: best residual {rms:.3g} Hz exceeds "

@@ -435,7 +435,7 @@ def frequency_ramp_instability(trap: TrapConfig, p: Particle,
 def radiation_pressure_force(laser: LaserConfig) -> float:
     """Axial momentum-transfer force (N): (2 R P / c) * sinc(theta_m)."""
     th = laser.half_aperture
-    sinc = math.sin(th) / th if th != 0.0 else 1.0
+    sinc = math.sin(th) / th
     return 2.0 * laser.reflection_coeff * laser.power / CONSTANTS.speed_of_light * sinc
 
 
@@ -443,4 +443,7 @@ def equilibrium_displacement(force: float, p: Particle, omega_x: float) -> float
     """Static displacement F / (m * omega_x^2) of a harmonically confined particle."""
     if not (omega_x > 0.0):
         raise ValueError("omega_x must be > 0")
-    return force / (particle_mass(p) * omega_x ** 2)
+    stiffness = particle_mass(p) * (omega_x * omega_x)  # ** raises on overflow
+    if not (0.0 < stiffness < math.inf):
+        raise ValueError(f"stiffness m * omega_x^2 = {stiffness:g} N/m must be finite and > 0")
+    return force / stiffness

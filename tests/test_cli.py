@@ -15,6 +15,13 @@ def run_cli(capsys, *argv):
     return code, captured.out, captured.err
 
 
+# arithmetic faults whose message names the derived quantity
+_NAMED_FAULTS = {
+    ("radiation", "--density-kg-m3", "5e-324"): "particle mass 0 kg must be finite and > 0",
+    ("radiation", "--omega-x-hz", "1e300"): "stiffness m * omega_x^2 = inf N/m must be finite and > 0",
+}
+
+
 class TestConfigHandling:
     def test_missing_config_file_exits_1_with_path(self, tmp_path, capsys):
         missing = tmp_path / "nope.cfg"
@@ -143,6 +150,14 @@ class TestPhysicsAndSolverExitCodes:
         assert out == ""
         assert len(err.strip().splitlines()) == 1
         assert "Traceback" not in err
+        assert _NAMED_FAULTS.get(argv, "") in err
+
+    def test_escaped_tilt_run_exits_0_without_libration(self, tmp_path, capsys):
+        code, out, err = run_cli(capsys, "angular-sim", "--omega-alpha-hz", "5000",
+                                 "--out", str(tmp_path))
+        assert code == 0, err
+        assert "escaped=true" in out
+        assert "libration_hz=nan" in out
 
     @pytest.mark.parametrize("sub", ["esr-solve", "esr-compare"])
     def test_smoothing_window_longer_than_spectrum_exits_1(self, tmp_path, capsys,

@@ -282,13 +282,12 @@ def test_detect_peaks_matches_per_index_rule(values, min_depth):
 
 
 def _residual_fun(peaks, b_fixed):
-    """The residual solve_general hands to least squares."""
+    """A residual of the kind solve_general hands to least squares at
+    ``b_fixed``: the eight lines against one split of the dips into runs."""
     m_obs = solver._shift_magnitudes(peaks)
-    if b_fixed is None:
-        return lambda x: solver._shift_residuals(
-            m_obs, solver._axis_magnitudes(x[0], x[1], abs(x[2])))
-    return lambda x: solver._shift_residuals(
-        m_obs, solver._axis_magnitudes(x[0], x[1], b_fixed))
+    lines = m_obs[np.arange(8) * m_obs.size // 8]  # consecutive runs, one per dip
+    return lambda x: solver._line_residuals(
+        lines, solver._axis_magnitudes(x[0], x[1], b_fixed))
 
 
 def _distinct_peaks(theta, phi, b):
@@ -306,14 +305,13 @@ _LM_INPUTS = {
 
 
 @pytest.mark.parametrize("name", sorted(_LM_INPUTS))
-@pytest.mark.parametrize("b_fixed", [None, 55.0])
+@pytest.mark.parametrize("b_fixed", [55.0])
 def test_forward_jacobian_reproduces_scipy_lm_iterates(name, b_fixed):
     """least_squares(method="lm") with the direct forward difference and with
     scipy's own "2-point" differencing returns bit-identical fits."""
     peaks = _LM_INPUTS[name]
     fun = _residual_fun(peaks, b_fixed)
-    for x0 in ([0.3, 0.7, 50.0], [4.0, 2.5, 80.0], [0.0, 0.0, 1e-6]):
-        x0 = x0[:2] if b_fixed is not None else x0
+    for x0 in ([0.3, 0.7], [4.0, 2.5], [0.0, 0.0]):
         kw = dict(method="lm", xtol=1e-15, ftol=1e-15, gtol=1e-15, max_nfev=400)
         direct = least_squares(fun, x0, jac=lambda x: solver._forward_jacobian(fun, x), **kw)
         scipy_fd = least_squares(fun, x0, **kw)
@@ -322,18 +320,47 @@ def test_forward_jacobian_reproduces_scipy_lm_iterates(name, b_fixed):
         assert direct.nfev == scipy_fd.nfev
 
 
-@pytest.mark.parametrize("b_fixed", [None, 55.0])
+@pytest.mark.parametrize("b_fixed", [55.0])
 def test_forward_jacobian_reuses_given_residual(b_fixed):
     """A residual passed as f0 gives the same Jacobian bit for bit, one call fewer."""
     residuals = _residual_fun(_LM_INPUTS["merged-110-plane"], b_fixed)
     calls = []
     fun = lambda x: calls.append(1) or residuals(x)
-    x = np.array([0.3, 0.7, 50.0])[:2 if b_fixed is not None else 3]
+    x = np.array([0.3, 0.7])
     fresh = solver._forward_jacobian(fun, x)
     n_fresh = len(calls)
     reused = solver._forward_jacobian(fun, x, residuals(x))
     assert reused.tobytes() == fresh.tobytes()
     assert len(calls) - n_fresh == n_fresh - 1
+
+
+@pytest.mark.parametrize("name", sorted(_LM_INPUTS))
+def test_free_field_fit_is_the_exact_solve(name, monkeypatch):
+    """At free field the cone-face optimum is final: no least-squares pass,
+    for two, four, six or eight dips; a fixed field still refines."""
+    calls = []
+    lm = solver.least_squares
+    monkeypatch.setattr(solver, "least_squares",
+                        lambda *a, **kw: calls.append(1) or lm(*a, **kw))
+    solve_general(_LM_INPUTS[name])
+    assert calls == []
+    solve_general(_LM_INPUTS[name], b_fixed=55.0, residual_threshold_hz=math.inf)
+    assert calls == [1]
+
+
+@pytest.mark.parametrize("theta, phi, b, n_dips", [
+    (0.0, math.pi / 2.0, 40.0, 2),   # cube axis: all four lines coincide
+    (0.0, 1.0, 45.0, 4),             # xz-plane: two pairs of axes coincide
+    (math.pi / 4.0, 1.0, 45.0, 6),   # 110-plane: one pair of axes coincides
+])
+def test_merged_lines_reproduce_the_distinct_dip_set(theta, phi, b, n_dips):
+    peaks = _distinct_peaks(theta, phi, b)
+    assert len(peaks) == n_dips
+    sol = solve_general(peaks)
+    gap = np.abs(dips_for(sol.theta, sol.phi, sol.b_gauss)[:, None] - peaks.frequencies)
+    assert gap.min(axis=0).max() < 1.0  # every observed dip has a fitted line
+    assert gap.min(axis=1).max() < 1.0  # every fitted line sits on an observed dip
+    assert sol.residual_rms_hz < 1.0
 
 
 def _orientation_class_per_matrix(theta, phi):
