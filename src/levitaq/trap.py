@@ -18,10 +18,13 @@ as the stability oracle for the simulation-level operations.
 All three integrators here -- the Floquet monodromy, the trajectory and the
 frequency ramp -- solve a linear ODE with time-dependent stiffness, so they
 share one propagator: each fixed RK4 step is a 3x3 transfer matrix on
-(u, u', f), built elementwise for a block of steps at once, and a chunked
-scan whose work is linear in the step count gives the state after every
-step of the block.  The monodromy carries the two fundamental solutions over
-one period; trajectories and ramps check for escape per block.
+(u, u', f) whose six non-trivial entries are closed-form polynomials in the
+stiffness at the start, midpoint and end of the step, and a chunked scan
+whose work is linear in the step count gives the state after every step of
+a block.  The end of one step is the start of the next, so n steps sample
+the stiffness at 2n + 1 half-step points.  The Mathieu coefficient is even,
+so the monodromy carries the two fundamental solutions over half a period
+only; trajectories and ramps check for escape per block.
 """
 
 from __future__ import annotations
@@ -43,7 +46,6 @@ STABILITY_Q_MAX = 0.908
 ESCAPE_RADIUS_FACTOR = 100.0  # escape flagged at |coordinate| > 100 * z0
 MIN_STEPS_PER_DRIVE_PERIOD = 200
 _BLOCK = 4096  # RK4 steps whose transfer matrices are built and composed at once
-_STAGES = np.array([[0.0], [0.5], [1.0]])  # step fractions where RK4 samples the stiffness
 _FLOQUET_RTOL = 1e-9  # relative change of the monodromy trace counted as converged
 _FLOQUET_MAX_STEPS = 1 << 20  # steps per period beyond which convergence is given up
 # Requests above these bounds are rejected before anything is allocated; both
@@ -124,12 +126,18 @@ class Trajectory:
 
 
 def secular_frequency(trap: TrapConfig, p: Particle) -> float:
-    """Axial pseudo-potential angular frequency omega_z (rad/s)."""
+    """Axial pseudo-potential angular frequency omega_z (rad/s).
+
+    omega_z = sqrt(2) |Q| kappa / (m Omega) with kappa the drive curvature,
+    the same as |Q| V_ac eta / (sqrt(2) m Omega z0^2).
+    """
     if p.total_charge == 0.0:
         raise UntrappedParticleError("uncharged particle is untrapped")
-    m = particle_mass(p)
-    return (abs(p.total_charge) * trap.v_ac * trap.eta
-            / (math.sqrt(2.0) * m * trap.drive_freq * trap.z0 ** 2))
+    wz = math.sqrt(2.0) * abs(p.total_charge) * drive_curvature(trap) / particle_mass(p) \
+        / trap.drive_freq
+    if not (0.0 < wz < math.inf):
+        raise ValueError(f"secular frequency {wz:g} rad/s must be finite and > 0")
+    return wz
 
 
 def mathieu_q(trap: TrapConfig, p: Particle) -> float:
@@ -163,7 +171,12 @@ def drive_curvature(trap: TrapConfig) -> float:
     the integrator; an independently simulated static curvature (TrapConfig.xi)
     will generally differ.
     """
-    return trap.eta * trap.v_ac / (2.0 * trap.z0 ** 2)
+    z0_sq = trap.z0 * trap.z0  # ** raises on overflow; z0 below about 1e-162 underflows to 0
+    curvature = trap.eta * trap.v_ac / (2.0 * z0_sq) if z0_sq > 0.0 else math.inf
+    if not (0.0 < curvature < math.inf):
+        raise ValueError(f"drive curvature eta * V_ac / (2 z0^2) = {curvature:g} V/m^2 "
+                         f"must be finite and > 0")
+    return curvature
 
 
 @dataclass(frozen=True)
@@ -177,27 +190,26 @@ def _rk4_transfer(k0, kh, k1, gamma: float, h: float) -> np.ndarray:
 
     k0, kh and k1 hold the stiffness at the start, midpoint and end of each
     step.  Matrix i maps (u, u', f) at the start of step i to its end; the
-    constant acceleration f rides along as the affine column.  Every stage
-    matrix I + c S of the scheme has bottom row (0, 0, 1), so each stage is
-    carried as its top two rows, computed elementwise over the steps.
+    constant acceleration f rides along as the affine column, so the bottom
+    row is (0, 0, 1).  Composing the four RK4 stages symbolically leaves the
+    other six entries as polynomials in (k0, kh, k1) of degree at most two,
+    whose coefficients depend only on g = gamma h and h.
     """
-    eye = np.eye(3).reshape((3, 3) + (1,) * k0.ndim)  # row, column, then the step axes
-
-    def b_times(k, x0, x1):
-        # top rows of [[0, 1, 0], [-k, -gamma, 1], [0, 0, 0]] @ [x0; x1; (0, 0, 1)]
-        return x1, -k * x0 - gamma * x1 + eye[2]
-
-    def stage(k, s, c):
-        return b_times(k, eye[0] + c * s[0], eye[1] + c * s[1])
-
-    s1 = b_times(k0, eye[0], eye[1])
-    s2 = stage(kh, s1, 0.5 * h)
-    s3 = stage(kh, s2, 0.5 * h)
-    s4 = stage(k1, s3, h)
+    g = gamma * h
+    h2, h3, h4 = h * h, h ** 3, h ** 4
+    drift = h * (1.0 - g / 2.0 + g * g / 6.0 - g ** 3 / 24.0)  # u' -> u and f -> u'
     m = np.empty(k0.shape + (3, 3))
-    for row in range(2):
-        top = eye[row] + h / 6.0 * (s1[row] + 2.0 * s2[row] + 2.0 * s3[row] + s4[row])
-        m[..., row, :] = np.moveaxis(top, 0, -1)
+    m[..., 0, 0] = 1.0 + kh * (h2 * (g - 4.0) / 12.0) \
+        + k0 * (kh * (h4 / 24.0) - h2 * (g * g - 2.0 * g + 4.0) / 24.0)
+    m[..., 0, 1] = drift + kh * (h3 * (g - 2.0) / 12.0)
+    m[..., 0, 2] = h2 * (g * g - 4.0 * g + 12.0) / 24.0 - kh * (h4 / 24.0)
+    m[..., 1, 0] = k0 * (h * (g ** 3 - 2.0 * g * g + 4.0 * g - 4.0) / 24.0
+                         - kh * (h3 * (g - 2.0) / 24.0) - k1 * (g * h3 / 24.0)) \
+        + kh * (k1 * (h3 / 12.0) - h * (g * g - 4.0 * g + 8.0) / 12.0) - k1 * (h / 6.0)
+    m[..., 1, 1] = (1.0 - g + g * g / 2.0 - g ** 3 / 6.0 + g ** 4 / 24.0) \
+        - k1 * (h2 * (g * g - 2.0 * g + 4.0) / 24.0) \
+        + kh * (k1 * (h4 / 24.0) - h2 * (g * g - 3.0 * g + 4.0) / 12.0)
+    m[..., 1, 2] = drift + (kh + k1) * (h3 * (g - 2.0) / 24.0)
     m[..., 2, :] = (0.0, 0.0, 1.0)
     return m
 
@@ -235,9 +247,12 @@ def _propagate(m: np.ndarray, state: np.ndarray) -> np.ndarray:
 def floquet_stability(a: float, q: float) -> FloquetResult:
     """Stability of u'' + (a - 2 q cos 2 tau) u = 0 from its monodromy matrix.
 
-    Integrates the two fundamental solutions over one drive period
-    (tau in [0, pi]) with a fixed-step RK4 scheme, doubling the step count
-    until the monodromy trace is converged.  |trace| <= 2 means stable.
+    Integrates the two fundamental solutions y1 (y1(0) = 1, y1'(0) = 0) and
+    y2 (y2(0) = 0, y2'(0) = 1) with a fixed-step RK4 scheme of n steps per
+    drive period, doubling n until the monodromy trace is converged.  The
+    coefficient is even in tau, so the trace over the period pi is
+    2 (y1 y2' + y1' y2) at tau = pi / 2, and only half the period is
+    integrated.  |trace| <= 2 means stable.
     """
     if not (math.isfinite(a) and math.isfinite(q)):
         raise ValueError("a and q must be finite")
@@ -245,11 +260,12 @@ def floquet_stability(a: float, q: float) -> FloquetResult:
     def trace_for(n: int) -> float:
         h = math.pi / n
         basis = np.eye(3)[:, :2]  # the two fundamental solutions; no forcing
-        for k in range(0, n, _BLOCK):
-            tau = np.arange(k, min(k + _BLOCK, n)) * h
-            c = a - 2.0 * q * np.cos(2.0 * (tau + _STAGES * h))
-            basis = _propagate(_rk4_transfer(*c, 0.0, h), basis)[-1]
-        return float(basis[0, 0] + basis[1, 1])
+        for k in range(0, n // 2, _BLOCK):
+            tau = np.arange(2 * k, 2 * min(k + _BLOCK, n // 2) + 1) * (0.5 * h)
+            c = a - 2.0 * q * np.cos(2.0 * tau)  # at the step ends and midpoints
+            basis = _propagate(_rk4_transfer(c[0:-1:2], c[1::2], c[2::2], 0.0, h), basis)[-1]
+        (y1, y2), (dy1, dy2) = basis[:2]
+        return float(2.0 * (y1 * dy2 + dy1 * y2))
 
     n = 1024
     prev = trace_for(n)
@@ -333,7 +349,7 @@ def integrate_motion(trap: TrapConfig, p: Particle,
     """
     n_steps = _fixed_step_count(t_end, dt, trap.drive_freq, store_every)
     m = particle_mass(p)
-    cd = p.total_charge * trap.eta * trap.v_ac / (m * trap.z0 ** 2)  # drive accel / m
+    cd = 2.0 * p.total_charge * drive_curvature(trap) / m  # drive stiffness amplitude
     om = trap.drive_freq
     esc = ESCAPE_RADIUS_FACTOR * trap.z0
 
@@ -346,14 +362,15 @@ def integrate_motion(trap: TrapConfig, p: Particle,
     escape_step = None
 
     for k in range(0, n_steps, _BLOCK):
-        t = np.arange(k, min(k + _BLOCK, n_steps)) * dt
-        c = cd * np.cos(om * (t + _STAGES * dt))
+        n = min(_BLOCK, n_steps - k)
+        t = np.arange(2 * k, 2 * (k + n) + 1) * (0.5 * dt)  # step ends and midpoints
         # the x and y axes share the radial stiffness -c/2, z (taken twice) has stiffness c
-        transfer = _rk4_transfer(*(c[..., None] * (-0.5, 1.0)), trap.damping_gamma, dt)
+        c = (cd * np.cos(om * t))[:, None] * (-0.5, 1.0)
+        transfer = _rk4_transfer(c[0:-1:2], c[1::2], c[2::2], trap.damping_gamma, dt)
         with np.errstate(over="ignore", invalid="ignore"):  # only kept states must be finite
             prop = _propagate(transfer, np.stack([state[:, :2], state[:, [2, 2]]]))
         states = np.concatenate([prop[:, 0], prop[:, 1, :, :1]], axis=2)
-        step = np.arange(k + 1, k + 1 + len(t))
+        step = np.arange(k + 1, k + 1 + n)
         keep = (step % store_every == 0) | (step == n_steps)
         out = np.flatnonzero(np.any(np.abs(states[:, 0]) > esc, axis=1))
         if out.size:  # store the samples up to the first escaping step, and that step
@@ -387,7 +404,9 @@ def frequency_ramp_instability(trap: TrapConfig, p: Particle,
     systematic lag from the finite growth time of the instability; slower
     ramps shrink it.  A warning is emitted when Omega changes by more than 1%
     per secular period.  A ramp longer than 1e8 steps, and a seed displacement
-    not inside the escape radius, are rejected.
+    not inside the escape radius, are rejected.  An escape at a drive that the
+    monodromy still finds stable (a seed whose micromotion alone reaches the
+    escape radius) raises PhysicsError.
     """
     if not (omega_start > omega_end > 0.0):
         raise ValueError("need omega_start > omega_end > 0")
@@ -420,20 +439,27 @@ def frequency_ramp_instability(trap: TrapConfig, p: Particle,
         warnings.warn("ramp changes the drive by more than 1% per secular period; "
                       "the detected instability frequency will lag", stacklevel=2)
 
-    k_acc = p.total_charge * trap.eta * trap.v_ac / (m * trap.z0 ** 2)
+    k_acc = 2.0 * p.total_charge * drive_curvature(trap) / m
     state = np.array([[seed_displacement], [0.0], [0.0]])
     n_steps = math.ceil(steps)
 
     for k in range(0, n_steps, _BLOCK):
-        j = np.arange(k, min(k + _BLOCK, n_steps))
-        om_t = omega_start - ramp_rate * (j * dt)
-        # left-sum drive phase accumulated over steps 0 .. j-1
+        j = np.arange(k, min(k + _BLOCK, n_steps) + 1)  # the block's steps and the next
+        # left-sum drive phase accumulated over steps 0 .. j-1, the phase at the
+        # start of step j; the end of step j is the start of step j + 1
         phase = dt * j * (omega_start - ramp_rate * dt * (j - 1) / 2.0)
-        c = k_acc * np.cos(phase + _STAGES * (om_t * dt))
-        states = _propagate(_rk4_transfer(*c, trap.damping_gamma, dt), state)
+        mid = phase[:-1] + 0.5 * dt * (omega_start - ramp_rate * (j[:-1] * dt))
+        k_ends, k_mid = k_acc * np.cos(phase), k_acc * np.cos(mid)
+        transfer = _rk4_transfer(k_ends[:-1], k_mid, k_ends[1:], trap.damping_gamma, dt)
+        states = _propagate(transfer, state)
         out = np.flatnonzero(np.abs(states[:, 0, 0]) > esc)
         if out.size:
-            return float(omega_start - ramp_rate * ((j[out[0]] + 1) * dt))
+            omega = float(omega_start - ramp_rate * ((j[out[0]] + 1) * dt))
+            q = mathieu_q(replace(trap, drive_freq=omega), p)
+            if floquet_stability(0.0, q).stable:  # carried out by the seed, not the drive
+                raise PhysicsError(f"the motion crossed the escape radius at q = {q:.4g}, "
+                                   f"where the drive is still stable")
+            return omega
         state = states[-1]
 
     raise PhysicsError("stable over full ramp: no instability detected")

@@ -22,6 +22,9 @@ _NAMED_FAULTS = {
     ("radiation", "--omega-x-hz", "1e300"): "stiffness m * omega_x^2 = inf N/m must be finite and > 0",
     ("trap-sim", "--drive-frequency-hz", "1e-200"): "Mathieu q = inf is not finite",
     ("ramp-infer", "--seed-displacement-m", "0.01"): "inside the escape radius 0.005 m",
+    ("trap-sim", "--z0-m", "1e200"): "drive curvature eta * V_ac / (2 z0^2) = 0 V/m^2",
+    ("trap-sim", "--z0-m", "1e-200"): "drive curvature eta * V_ac / (2 z0^2) = inf V/m^2",
+    ("ramp-infer", "--z0-m", "1e-200"): "drive curvature eta * V_ac / (2 z0^2) = inf V/m^2",
 }
 
 
@@ -83,6 +86,17 @@ class TestPhysicsAndSolverExitCodes:
                                "--out", str(tmp_path))
         assert code == 2
         assert "stable" in err
+
+    @pytest.mark.parametrize("seed_m", ["0.004", "0.003"])
+    def test_ramp_escape_at_stable_drive_exits_2(self, tmp_path, capsys, seed_m):
+        # the seed's micromotion reaches the 5 mm escape radius before the drive
+        # is unstable; reporting that drive would misstate the charge-to-mass ratio
+        code, out, err = run_cli(capsys, "ramp-infer", "--seed-displacement-m", seed_m,
+                                 "--out", str(tmp_path))
+        assert code == 2
+        assert out == ""
+        assert len(err.strip().splitlines()) == 1
+        assert "where the drive is still stable" in err and "at q = 0." in err
 
     def test_flat_spectrum_solver_failure_exits_3(self, tmp_path, capsys):
         flat = tmp_path / "flat.csv"
@@ -149,6 +163,10 @@ class TestPhysicsAndSolverExitCodes:
         # a q that overflows to inf, and a ramp seed outside the escape radius
         ("trap-sim", "--drive-frequency-hz", "1e-200"),
         ("ramp-infer", "--seed-displacement-m", "0.01"),
+        # z0^2 that overflows or underflows in the drive curvature
+        ("trap-sim", "--z0-m", "1e200"),
+        ("trap-sim", "--z0-m", "1e-200"),
+        ("ramp-infer", "--z0-m", "1e-200"),
     ])
     def test_malformed_numeric_input_exits_1_with_one_line(self, tmp_path, capsys, argv):
         code, out, err = run_cli(capsys, *argv, "--out", str(tmp_path))

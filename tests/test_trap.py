@@ -282,6 +282,17 @@ class TestFrequencyRamp:
             frequency_ramp_instability(trap, reference_particle(), trap.drive_freq,
                                        0.5 * trap.drive_freq, ramp_rate=1e-300)
 
+    def test_escape_at_stable_drive_raises(self):
+        # a seed whose micromotion alone carries it across the escape radius
+        # while the drive is still stable (q starts at 0.32)
+        p = reference_particle()
+        trap = reference_trap()
+        with pytest.raises(PhysicsError, match="where the drive is still stable") as info:
+            frequency_ramp_instability(trap, p, trap.drive_freq, 0.4 * trap.drive_freq,
+                                       ramp_rate=1e4, seed_displacement=90.0 * trap.z0)
+        q = float(str(info.value).split("q = ")[1].split(",")[0])
+        assert Q_REF < q < STABILITY_Q_MAX
+
     def test_fast_ramp_warns(self):
         p = reference_particle()
         trap = reference_trap()
@@ -410,14 +421,17 @@ class TestPropagatorOracle:
         return omega_start - ramp_rate * (escape_step * dt), escape_step
 
     # a negative charge is defocused at drive phase 0, so a seed just inside
-    # the escape radius leaves on the first step
+    # the escape radius leaves on the first step; that ramp starts at q = 0.95,
+    # past the stability edge, since an escape where the drive is still stable
+    # is rejected
     @pytest.mark.parametrize("seed_factor,first_step,charge_e",
                              [(0.5, False, 5000.0), (99.99, True, -5000.0)])
     def test_ramp_matches_per_step_rk4(self, seed_factor, first_step, charge_e):
         p = reference_particle(charge_e)
         trap = reference_trap(gamma=20.0)
+        q_start = 0.95 if first_step else 0.85
         om_start = math.sqrt(2.0 * abs(p.total_charge) * trap.v_ac * trap.eta
-                             / (particle_mass(p) * 0.85 * trap.z0 ** 2))  # q = 0.85
+                             / (particle_mass(p) * q_start * trap.z0 ** 2))
         t_sec = TWO_PI / secular_frequency(replace(trap, drive_freq=om_start), p)
         rate = 0.005 * om_start / t_sec
         seed = seed_factor * trap.z0
@@ -450,6 +464,70 @@ def test_propagate_matches_sequential_products(n, batch, k, seed):
     steps = np.arange(2, n + 2).reshape((n,) + (1,) * len(batch))
     err = np.abs(out - ref).max(axis=(-2, -1))
     assert np.all(err <= 10.0 * np.finfo(float).eps * 3 * steps * bound)
+
+
+def stage_transfer(k0, kh, k1, gamma, h):
+    """RK4 step matrices of u'' = -k u - gamma u' + f composed from the four stage matrices."""
+    eye = np.eye(3)
+
+    def rate(k):  # d/dt of (u, u', f)
+        m = np.zeros(k.shape + (3, 3))
+        m[..., 0, 1] = m[..., 1, 2] = 1.0
+        m[..., 1, 0] = -k
+        m[..., 1, 1] = -gamma
+        return m
+
+    s1 = rate(k0)
+    s2 = rate(kh) @ (eye + 0.5 * h * s1)
+    s3 = rate(kh) @ (eye + 0.5 * h * s2)
+    s4 = rate(k1) @ (eye + h * s3)
+    return eye + h / 6.0 * (s1 + 2.0 * s2 + 2.0 * s3 + s4)
+
+
+@pytest.mark.parametrize("gamma", [0.0, 300.0])
+@pytest.mark.parametrize("batch", [(), (2,)])
+@pytest.mark.parametrize("h,scale", [(1e-6, 1e9), (math.pi / 1024, 3.0)])
+def test_closed_form_transfer_matches_stage_composition(gamma, batch, h, scale):
+    # the trajectory scale (dt = 1 us, stiffness ~ (2 pi kHz)^2) and the Floquet scale
+    k0, kh, k1 = scale * np.random.default_rng(7).standard_normal((3, 64) + batch)
+    out = trap_module._rk4_transfer(k0, kh, k1, gamma, h)
+    ref = stage_transfer(k0, kh, k1, gamma, h)
+    assert out.shape == ref.shape == (64,) + batch + (3, 3)
+    assert np.abs(out - ref).max() <= 4.0 * np.finfo(float).eps * np.abs(ref).max()
+
+
+def full_period_trace(a, q):
+    """Monodromy trace over the whole period pi with floquet_stability's doubling rule.
+
+    Each level multiplies n stage-composed RK4 steps sampled at their own
+    start, midpoint and end, pairwise with the later step on the left.
+    """
+    def trace_for(n):
+        h = math.pi / n
+        tau = np.arange(n) * h
+        m = stage_transfer(*(a - 2.0 * q * np.cos(2.0 * (tau + frac * h))
+                             for frac in (0.0, 0.5, 1.0)), 0.0, h)
+        while len(m) > 1:  # n is a power of two
+            m = m[1::2] @ m[0::2]
+        return m[0, 0, 0] + m[0, 1, 1]
+
+    n = 1024
+    prev = trace_for(n)
+    while True:
+        n *= 2
+        cur = trace_for(n)
+        if abs(cur - prev) <= trap_module._FLOQUET_RTOL * max(1.0, abs(cur)):
+            return cur
+        prev = cur
+
+
+def test_half_period_trace_matches_full_period_product():
+    for a in np.linspace(-0.4, 0.8, 5):
+        for q in np.linspace(0.05, 1.4, 8):
+            ref = full_period_trace(a, q)
+            res = floquet_stability(a, q)
+            assert abs(res.trace - ref) <= 1e-12, (a, q)
+            assert res.stable == (abs(ref) <= 2.0)
 
 
 class TestRadiationPressure:
