@@ -20,6 +20,8 @@ import math
 import os
 import re
 import sys
+import traceback
+import warnings
 from dataclasses import replace
 from pathlib import Path
 
@@ -403,6 +405,17 @@ def _build_parser() -> _Parser:
     return parser
 
 
+def _faulting_function(exc: ArithmeticError) -> str:
+    """The innermost public module-level levitaq function on the traceback."""
+    name = "run"
+    for frame, _ in traceback.walk_tb(exc.__traceback__):
+        code, scope = frame.f_code, frame.f_globals
+        if (scope.get("__package__") == __package__ and not code.co_name.startswith("_")
+                and getattr(scope.get(code.co_name), "__code__", None) is code):
+            name = code.co_name
+    return name
+
+
 def run(argv=None) -> int:
     """Entry point returning the process exit code."""
     try:
@@ -430,8 +443,12 @@ def run(argv=None) -> int:
             summary = _RUNNERS[sub](cfg, run_dir)
         print(f"{summary} out={run_dir}")
         return 0
-    except (ConfigError, ValueError, OSError, ArithmeticError) as exc:
+    except (ConfigError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 1
+    except ArithmeticError as exc:  # numpy's text names the operation, not the input
+        print(f"error: {_faulting_function(exc)}: arithmetic fault; an input leaves the "
+              "floating-point range", file=sys.stderr)
         return 1
     except MemoryError as exc:  # a bare MemoryError has no text
         print("error: out of memory" + (f": {exc}" if str(exc) else ""), file=sys.stderr)
@@ -445,6 +462,8 @@ def run(argv=None) -> int:
 
 
 def main() -> None:
+    # one stderr line per warning, in the form of the error lines
+    warnings.formatwarning = lambda message, *args, **kwargs: f"warning: {message}\n"
     sys.exit(run())
 
 

@@ -154,23 +154,7 @@ def _check_total_contrast(n_lines: int, model: LineModel):
         raise ValueError("total modeled contrast exceeds 1; lower contrast_per_line")
 
 
-def _line_visibilities(visibilities, n_lines: int) -> np.ndarray:
-    """Optional per-line drive-visibility factors in [0, 1]; default all 1.
-
-    Stands in for unequal (or time-modulated) drive efficiency across lines;
-    there is no functional form behind it, just a depth scale per line.
-    """
-    if visibilities is None:
-        return np.ones(n_lines)
-    vis = np.asarray(visibilities, dtype=float)
-    if vis.shape != (n_lines,):
-        raise ValueError(f"visibilities must have one entry per line ({n_lines})")
-    if np.any(vis < 0.0) or np.any(vis > 1.0):
-        raise ValueError("visibilities must lie in [0, 1]")
-    return vis
-
-
-def synth_spectrum(dips_hz, model: LineModel, grid_hz, visibilities=None) -> Spectrum:
+def synth_spectrum(dips_hz, model: LineModel, grid_hz) -> Spectrum:
     """Render Lorentzian dips onto a grid: value(f) = 1 - sum_i c * G^2/((f-f_i)^2 + G^2).
 
     The grid must cover every dip within five half-widths.
@@ -178,13 +162,12 @@ def synth_spectrum(dips_hz, model: LineModel, grid_hz, visibilities=None) -> Spe
     dips = np.atleast_1d(np.asarray(dips_hz, dtype=float))
     grid = np.asarray(grid_hz, dtype=float)
     g = model.hwhm
-    vis = _line_visibilities(visibilities, dips.size)
     _check_total_contrast(dips.size, model)
     _check_coverage(grid, dips - 5.0 * g, dips + 5.0 * g)
 
     values = np.ones_like(grid)
-    for f0, v in zip(dips, vis):
-        values -= v * model.contrast_per_line * g * g / ((grid - f0) ** 2 + g * g)
+    for f0 in dips:
+        values -= model.contrast_per_line * g * g / ((grid - f0) ** 2 + g * g)
     values = np.clip(values, 1e-9, 1.05)
     return Spectrum(frequencies=grid, values=values)
 
@@ -217,8 +200,7 @@ def _arcsine_cells(half_range: float, n_cells: int) -> np.ndarray:
 
 
 def rotation_broadened_spectrum(field: FieldOrientation, rotation_axis,
-                                model: LineModel, grid_hz, n_cells: int = 400,
-                                visibilities=None) -> Spectrum:
+                                model: LineModel, grid_hz, n_cells: int = 400) -> Spectrum:
     """Rotation-averaged spectrum: each line convolved with its arcsine density.
 
     Each of the eight lines is split into ``n_cells`` equal-mass cells of its
@@ -233,7 +215,6 @@ def rotation_broadened_spectrum(field: FieldOrientation, rotation_axis,
     centers, half_ranges = sweep_amplitudes(field, rotation_axis)
     d = CONSTANTS.zero_field_splitting_hz
     g = model.hwhm
-    vis = _line_visibilities(visibilities, 8)
     _check_total_contrast(8, model)
 
     line_centers = np.concatenate([d + centers, d - centers])
@@ -244,12 +225,12 @@ def rotation_broadened_spectrum(field: FieldOrientation, rotation_axis,
     values = np.ones_like(grid)
     g2 = g * g
     chunk = 8192
-    for c0, dmax, v in zip(line_centers, line_ranges, vis):
+    for c0, dmax in zip(line_centers, line_ranges):
         if dmax <= 1e-9:
-            values -= v * model.contrast_per_line * g2 / ((grid - c0) ** 2 + g2)
+            values -= model.contrast_per_line * g2 / ((grid - c0) ** 2 + g2)
             continue
         offsets = c0 + _arcsine_cells(dmax, n_cells)
-        w = v * model.contrast_per_line / n_cells
+        w = model.contrast_per_line / n_cells
         for start in range(0, grid.size, chunk):
             sl = slice(start, min(start + chunk, grid.size))
             diff = grid[sl][None, :] - offsets[:, None]

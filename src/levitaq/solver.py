@@ -6,10 +6,13 @@ four defect axes: any signed permutation of the crystal-frame coordinates
 maps the axis set onto itself up to sign and therefore leaves the eight-dip
 spectrum unchanged.  Solvers report one representative and enumerate the
 class; ties between exact-fit class members are broken deterministically by
-smallest azimuthal angle, then smallest polar angle.  The general solver
-fits up to eight dips by an exact least-squares solve on the two cones of
-field vectors that hold one member of every class; at a given field the
-same candidates, scaled to that field, give the exact solve as well.
+smallest azimuthal angle, then smallest polar angle.  ``solve_general`` is
+the one orientation fit: an exact least-squares solve of up to eight dips on
+the two cones of field vectors that hold one member of every class; at a
+given field the same candidates, scaled to that field, give the exact solve
+as well.  On an equally spaced eight-dip spectrum the closed form of
+``equidistant_inversion`` only names the reported member: the one nearest
+the closed-form angles.
 """
 
 from __future__ import annotations
@@ -17,7 +20,7 @@ from __future__ import annotations
 import itertools
 import math
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 # unused here; kept because the benchmark's tracer wraps solver.least_squares by
@@ -28,7 +31,6 @@ from .core import CONSTANTS, nv_axes
 from .errors import SolverError
 from .esr import FieldOrientation, Spectrum
 
-_COMPARE_B_TOLERANCE_GAUSS = 2.0  # closed-form field must match b_fixed this closely
 _EXTREMAL_MATCH_TOLERANCE = 0.02  # relative change of the outermost shift
 
 
@@ -193,13 +195,6 @@ def _shift_magnitudes(peaks: PeakList) -> np.ndarray:
     return np.sort(np.abs(peaks.frequencies - CONSTANTS.zero_field_splitting_hz))
 
 
-def _axis_magnitudes(theta: float, phi: float, b_gauss: float) -> np.ndarray:
-    """Model shift magnitudes |gamma_e B (x_i . B_hat)| of the four axes."""
-    bhat = np.array([math.cos(theta) * math.sin(phi),
-                     math.sin(theta) * math.sin(phi), math.cos(phi)])
-    return np.abs(CONSTANTS.gamma_e_hz_per_gauss * b_gauss * (nv_axes() @ bhat))
-
-
 def _line_residuals(m_lines: np.ndarray, mags: np.ndarray) -> np.ndarray:
     """Residuals (..., 8) of the eight ascending model lines, each axis
     magnitude of ``mags`` (..., 4) twice, against ``m_lines`` (..., 8), the
@@ -248,46 +243,43 @@ def _equidistant_shifts(peaks: PeakList, tolerance: float) -> np.ndarray | None:
     return pos
 
 
-def _finish_solution(theta: float, phi: float, b_gauss: float, residual: float,
-                     method: str, canonicalize: bool = False) -> EsrSolution:
-    members, continuous = _orientation_class(theta, phi)
-    if canonicalize and members:
-        # deterministic class representative: smallest theta, then phi
-        theta, phi = members[0]
-    return EsrSolution(theta=theta, phi=phi, b_gauss=b_gauss,
-                       residual_rms_hz=residual, degeneracy_class=members,
-                       continuous_theta=continuous, method=method)
-
-
-def _closed_form(peaks: PeakList,
-                 spacing_tolerance: float) -> tuple[EsrSolution | None, str]:
-    """The closed-form equidistant solution, or None and why it does not apply."""
+def _closed_form_angles(peaks: PeakList, spacing_tolerance: float
+                        ) -> tuple[tuple[float, float] | None, str]:
+    """The closed-form equidistant (theta, phi), or None and why it does not apply."""
     shifts = _equidistant_shifts(peaks, spacing_tolerance)
     if shifts is None:
         return None, "peaks are not an equidistant eight-dip pattern"
     try:
-        theta, phi, b = equidistant_inversion(shifts[0], shifts[1])
+        theta, phi, _ = equidistant_inversion(shifts[0], shifts[1])
     except ValueError as exc:
         return None, f"closed-form inversion rejected the shifts ({exc})"
-    res = _line_residuals(_shift_magnitudes(peaks), _axis_magnitudes(theta, phi, b))
-    return _finish_solution(theta, phi, b, float(np.sqrt(np.mean(res ** 2))),
-                            method="equidistant"), ""
+    return (theta, phi), ""
+
+
+def _nearest_member(sol: EsrSolution, theta: float, phi: float) -> EsrSolution:
+    """``sol`` reported as its class member nearest (theta, phi): the largest
+    cosine between the unit vectors."""
+    t, p = np.array(sol.degeneracy_class).T
+    cos = np.sin(p) * math.sin(phi) * np.cos(t - theta) + np.cos(p) * math.cos(phi)
+    nearest = sol.degeneracy_class[int(np.argmax(cos))]
+    return replace(sol, theta=nearest[0], phi=nearest[1], method="equidistant")
 
 
 def solve_equidistant(peaks: PeakList, spacing_tolerance: float = 0.05,
                       residual_threshold_hz: float = 30e6) -> EsrSolution:
-    """Invert an eight-dip, equally spaced spectrum in closed form.
+    """Orientation fit of an eight-dip, equally spaced spectrum.
 
-    Falls through to solve_general (with a warning, and with
-    ``residual_threshold_hz``) when the input is not equidistant within
-    ``spacing_tolerance`` of the mean spacing, has the wrong dip count, or
-    sits outside the closed-form domain.
+    The fit is ``solve_general`` with ``residual_threshold_hz``.  When the
+    input is equidistant within ``spacing_tolerance`` of the mean spacing and
+    inside the closed-form domain, the reported member is the one nearest the
+    closed-form angles, with ``method = "equidistant"``; otherwise a warning
+    says so and the general solver's representative is reported.
     """
-    sol, reason = _closed_form(peaks, spacing_tolerance)
-    if sol is None:
+    angles, reason = _closed_form_angles(peaks, spacing_tolerance)
+    if angles is None:
         warnings.warn(f"{reason}; falling back to the general solver", stacklevel=2)
-        return solve_general(peaks, residual_threshold_hz=residual_threshold_hz)
-    return sol
+    sol = solve_general(peaks, residual_threshold_hz=residual_threshold_hz)
+    return sol if angles is None else _nearest_member(sol, *angles)
 
 
 def solve_general(peaks: PeakList, residual_threshold_hz: float = 30e6,
@@ -337,7 +329,10 @@ def solve_general(peaks: PeakList, residual_threshold_hz: float = 30e6,
         raise SolverError(
             f"no consistent orientation: best residual {rms:.3g} Hz exceeds "
             f"threshold {residual_threshold_hz:.3g} Hz")
-    return _finish_solution(theta, phi, b, rms, method="general", canonicalize=True)
+    members, continuous = _orientation_class(theta, phi)
+    theta, phi = members[0]  # deterministic class representative
+    return EsrSolution(theta=theta, phi=phi, b_gauss=b, residual_rms_hz=rms,
+                       degeneracy_class=members, continuous_theta=continuous)
 
 
 @dataclass
@@ -355,23 +350,23 @@ def compare_orientations(before: PeakList, after: PeakList, b_fixed: float,
                          spacing_tolerance: float = 0.05) -> RotationReport:
     """Solve two dip lists at a common field and report the implied rotation.
 
-    Each list takes the closed-form path when it is equidistant and its
-    closed-form field lies within 2 G of ``b_fixed``, and the general solver
-    at ``b_fixed`` otherwise.  The outermost dips of the two spectra are
-    compared (within 2 % of the first) as a diagnostic rather than enforced
-    as a constraint, since an exactly preserved extreme is generally
-    inconsistent with the projection model; the merged-pair flag records
-    that the second spectrum resolves fewer dips on each side of the
-    central frequency.  Solver failures propagate.
+    Each list is fitted by ``solve_general`` at ``b_fixed``, so both reports
+    carry that field; an equidistant list (as in ``solve_equidistant``, but
+    silent otherwise) reports the member nearest the closed-form angles.
+    The outermost dips of the two spectra are compared (within 2 % of the
+    first) as a diagnostic rather than enforced as a constraint, since an
+    exactly preserved extreme is generally inconsistent with the projection
+    model; the merged-pair flag records that the second spectrum resolves
+    fewer dips on each side of the central frequency.  Solver failures
+    propagate.
     """
     if not (b_fixed > 0.0):
         raise ValueError("b_fixed must be > 0")
     sols = []
     for peaks in (before, after):
-        sol, _ = _closed_form(peaks, spacing_tolerance)
-        if sol is None or abs(sol.b_gauss - b_fixed) > _COMPARE_B_TOLERANCE_GAUSS:
-            sol = solve_general(peaks, b_fixed=b_fixed)
-        sols.append(sol)
+        angles, _ = _closed_form_angles(peaks, spacing_tolerance)
+        sol = solve_general(peaks, b_fixed=b_fixed)
+        sols.append(sol if angles is None else _nearest_member(sol, *angles))
     d = CONSTANTS.zero_field_splitting_hz
     ext_before = float(np.max(np.abs(before.frequencies - d)))
     ext_after = float(np.max(np.abs(after.frequencies - d)))

@@ -1,5 +1,6 @@
 import itertools
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -517,3 +518,60 @@ def test_more_than_eight_dips_rejected():
                              3.1e9))
     with pytest.raises(SolverError, match="9 dips"):
         solve_general(PeakList(frequencies=dips, depths=np.full(9, 0.03)))
+
+
+# ---- one solve: the closed form only names the reported member ------------------
+
+def _peaks_deg(theta_deg, phi_deg, b):
+    return peaks_for(math.radians(theta_deg), math.radians(phi_deg), b)
+
+
+@pytest.mark.parametrize("before, b, after", [
+    ((9.7554, 147.8098), 88.3930, (332.9355, 32.3206)),   # a near-equidistant after
+    ((291.8459, 26.1005), 58.9038, (75.9467, 116.4086)),  # a near-equidistant after
+])
+def test_near_equidistant_compare_reports_the_exact_solve(before, b, after):
+    report = compare_orientations(_peaks_deg(*before, b), _peaks_deg(*after, b), b_fixed=b)
+    assert report.after.method == "equidistant"
+    for sol, (theta_deg, phi_deg) in ((report.before, before), (report.after, after)):
+        assert _class_angle_deg(sol, math.radians(theta_deg), math.radians(phi_deg)) < 1e-5
+        assert sol.b_gauss == b
+        assert sol.residual_rms_hz < 1.0
+
+
+def test_near_equidistant_solve_reports_the_exact_solve():
+    theta, phi, b = math.radians(28.0927), math.radians(77.1543), 59.9598
+    sol = solve_equidistant(peaks_for(theta, phi, b))
+    assert sol.method == "equidistant"
+    assert _class_angle_deg(sol, theta, phi) < 1e-5
+    assert sol.b_gauss == pytest.approx(b, rel=1e-9)
+    assert sol.residual_rms_hz < 1.0
+
+
+# azimuths near tan(theta) = 2, so that many draws are equidistant within 5 %
+_AZIMUTHS = st.one_of(st.floats(0.0, 2.0 * math.pi, exclude_max=True),
+                      st.floats(THETA_REF - 0.03, THETA_REF + 0.03))
+
+
+@settings(derandomize=True, max_examples=80, deadline=None)
+@given(theta0=_AZIMUTHS, phi0=st.floats(0.0, math.pi), theta1=_AZIMUTHS,
+       phi1=st.floats(0.0, math.pi), b=st.floats(20.0, 120.0))
+@example(theta0=math.radians(28.0927), phi0=math.radians(77.1543),
+         theta1=math.radians(332.9355), phi1=math.radians(32.3206), b=59.9598)
+def test_equidistant_and_compare_report_a_member_of_the_exact_solve(theta0, phi0, theta1,
+                                                                     phi1, b):
+    """solve_equidistant and compare_orientations report a member of
+    solve_general's class, with its residual and field."""
+    peaks = [peaks_for(theta0, phi0, b), peaks_for(theta1, phi1, b)]
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", UserWarning)
+        free = solve_equidistant(peaks[0])
+    report = compare_orientations(*peaks, b_fixed=b)
+    pairs = [(free, solve_general(peaks[0])),
+             (report.before, solve_general(peaks[0], b_fixed=b)),
+             (report.after, solve_general(peaks[1], b_fixed=b))]
+    for sol, exact in pairs:
+        assert (sol.theta, sol.phi) in exact.degeneracy_class
+        assert sol.degeneracy_class == exact.degeneracy_class
+        assert sol.residual_rms_hz == exact.residual_rms_hz
+        assert sol.b_gauss == exact.b_gauss
