@@ -17,14 +17,17 @@ as the stability oracle for the simulation-level operations.
 
 All three integrators here -- the Floquet monodromy, the trajectory and the
 frequency ramp -- solve a linear ODE with time-dependent stiffness, so they
-share one propagator: each fixed RK4 step is a 3x3 transfer matrix on
-(u, u', f) whose six non-trivial entries are closed-form polynomials in the
-stiffness at the start, midpoint and end of the step, and a chunked scan
-whose work is linear in the step count gives the state after every step of
-a block.  The end of one step is the start of the next, so n steps sample
-the stiffness at 2n + 1 half-step points.  The Mathieu coefficient is even,
-so the monodromy carries the two fundamental solutions over half a period
-only; trajectories and ramps check for escape per block.
+share one closed-form RK4 step: six entries, polynomials in the stiffness
+at the start, midpoint and end of the step, map (u, u') and a constant
+acceleration f at its start to (u, u') at its end.  The entries are kept as
+six arrays over the steps, so products of steps are elementwise over long
+contiguous arrays.  The end of one step is the start of the next, so n
+steps sample the stiffness at 2n + 1 half-step points.  Trajectories and
+ramps need the state after every step: a scan in chunks of _WIDTH steps
+gives it for a block of _BLOCK steps in work linear in the step count, and
+they check for escape per block.  The monodromy needs only the product of
+its steps, taken pairwise; the Mathieu coefficient is even, so it carries
+the two fundamental solutions over half a period only.
 """
 
 from __future__ import annotations
@@ -45,7 +48,8 @@ STABILITY_Q_MAX = 0.908
 
 ESCAPE_RADIUS_FACTOR = 100.0  # escape flagged at |coordinate| > 100 * z0
 MIN_STEPS_PER_DRIVE_PERIOD = 200
-_BLOCK = 4096  # RK4 steps whose transfer matrices are built and composed at once
+_BLOCK = 16384  # RK4 steps whose transfer entries are built and scanned at once
+_WIDTH = 8  # steps per chunk of the state scan
 _FLOQUET_RTOL = 1e-9  # relative change of the monodromy trace counted as converged
 _FLOQUET_MAX_STEPS = 1 << 20  # steps per period beyond which convergence is given up
 # Requests above these bounds are rejected before anything is allocated; both
@@ -185,63 +189,90 @@ class FloquetResult:
     trace: float  # trace of the one-period monodromy matrix
 
 
-def _rk4_transfer(k0, kh, k1, gamma: float, h: float) -> np.ndarray:
-    """Per-step RK4 transfer matrices of u'' = -k(t) u - gamma u' + f.
+def _rk4_transfer(k0, kh, k1, gamma: float, h: float):
+    """Per-step RK4 transfer entries of u'' = -k(t) u - gamma u' + f.
 
     k0, kh and k1 hold the stiffness at the start, midpoint and end of each
-    step.  Matrix i maps (u, u', f) at the start of step i to its end; the
-    constant acceleration f rides along as the affine column, so the bottom
-    row is (0, 0, 1).  Composing the four RK4 stages symbolically leaves the
-    other six entries as polynomials in (k0, kh, k1) of degree at most two,
-    whose coefficients depend only on g = gamma h and h.
+    step.  Returns the six entry arrays as rows ((m00, m01, m02),
+    (m10, m11, m12)): step i maps (u, u') at its start to
+    u = m00 u + m01 u' + m02 f and u' = m10 u + m11 u' + m12 f at its end,
+    for a constant acceleration f.  Composing the four RK4 stages
+    symbolically leaves each entry a polynomial in (k0, kh, k1) of degree at
+    most two, whose coefficients depend only on g = gamma h and h.
     """
     g = gamma * h
     h2, h3, h4 = h * h, h ** 3, h ** 4
     drift = h * (1.0 - g / 2.0 + g * g / 6.0 - g ** 3 / 24.0)  # u' -> u and f -> u'
-    m = np.empty(k0.shape + (3, 3))
-    m[..., 0, 0] = 1.0 + kh * (h2 * (g - 4.0) / 12.0) \
+    m00 = 1.0 + kh * (h2 * (g - 4.0) / 12.0) \
         + k0 * (kh * (h4 / 24.0) - h2 * (g * g - 2.0 * g + 4.0) / 24.0)
-    m[..., 0, 1] = drift + kh * (h3 * (g - 2.0) / 12.0)
-    m[..., 0, 2] = h2 * (g * g - 4.0 * g + 12.0) / 24.0 - kh * (h4 / 24.0)
-    m[..., 1, 0] = k0 * (h * (g ** 3 - 2.0 * g * g + 4.0 * g - 4.0) / 24.0
-                         - kh * (h3 * (g - 2.0) / 24.0) - k1 * (g * h3 / 24.0)) \
+    m01 = drift + kh * (h3 * (g - 2.0) / 12.0)
+    m02 = h2 * (g * g - 4.0 * g + 12.0) / 24.0 - kh * (h4 / 24.0)
+    m10 = k0 * (h * (g ** 3 - 2.0 * g * g + 4.0 * g - 4.0) / 24.0
+                - kh * (h3 * (g - 2.0) / 24.0) - k1 * (g * h3 / 24.0)) \
         + kh * (k1 * (h3 / 12.0) - h * (g * g - 4.0 * g + 8.0) / 12.0) - k1 * (h / 6.0)
-    m[..., 1, 1] = (1.0 - g + g * g / 2.0 - g ** 3 / 6.0 + g ** 4 / 24.0) \
+    m11 = (1.0 - g + g * g / 2.0 - g ** 3 / 6.0 + g ** 4 / 24.0) \
         - k1 * (h2 * (g * g - 2.0 * g + 4.0) / 24.0) \
         + kh * (k1 * (h4 / 24.0) - h2 * (g * g - 3.0 * g + 4.0) / 12.0)
-    m[..., 1, 2] = drift + (kh + k1) * (h3 * (g - 2.0) / 24.0)
-    m[..., 2, :] = (0.0, 0.0, 1.0)
-    return m
+    m12 = drift + (kh + k1) * (h3 * (g - 2.0) / 24.0)
+    return (m00, m01, m02), (m10, m11, m12)
 
 
-def _propagate(m: np.ndarray, state: np.ndarray) -> np.ndarray:
-    """States m[i] @ ... @ m[0] @ state after every step i, in O(n) work.
+def _states(m, u0, v0, f=None) -> np.ndarray:
+    """(u, u') after every step of the transfer entries m, from (u0, v0).
 
-    m holds n step matrices along its first axis, followed by batch axes that
-    match the leading axes of state (shape (..., 3, k)).  The steps are cut
-    into about sqrt(n) chunks of equal width: one pass over the positions
-    within a chunk forms every chunk's prefix products at once, one mat-vec
-    per chunk carries the state from chunk to chunk, and one batched matmul
-    applies each chunk's prefixes to the state entering it.
+    m[r][c] holds entry (r, c) of the n step matrices, as _rk4_transfer
+    returns them (the affine column c = 2 is read only with f); u0, v0 and the
+    constant accelerations f (None: no forcing) are k columns that share
+    those steps.  Returns an (n, 2, k) array: u and u' after each step.  The
+    steps are cut into chunks of _WIDTH: one pass over the positions within
+    a chunk forms every chunk's prefix products, elementwise over the
+    chunks; the states entering the chunks come from the same scan over the
+    chunk totals; and one product applies each chunk's prefixes to its
+    entry state.
     """
-    n = len(m)
-    width = math.isqrt(n - 1) + 1
-    chunks = -(-n // width)
-    if chunks * width > n:  # pad the last chunk with identity steps
-        m = np.concatenate([m, np.broadcast_to(np.eye(3), (chunks * width - n,) + m.shape[1:])])
-    # axes: chunk, batch axes, position within the chunk, matrix rows and columns
-    m = np.moveaxis(m.reshape((chunks, width) + m.shape[1:]), 1, -3)
-    prefix = np.empty(m.shape)
-    prefix[..., 0, :, :] = m[..., 0, :, :]
-    for j in range(1, width):
-        np.matmul(m[..., j, :, :], prefix[..., j - 1, :, :], out=prefix[..., j, :, :])
-    entry = [state]
-    for i in range(chunks - 1):
-        entry.append(prefix[i, ..., -1, :, :] @ entry[-1])
-    # a chunk's prefixes, stacked into one (width * 3, 3) matrix, times its entry state
-    out = prefix.reshape(prefix.shape[:-3] + (-1, 3)) @ np.stack(entry)
-    out = np.moveaxis(out.reshape(m.shape[:-1] + state.shape[-1:]), -3, 1)
-    return out.reshape((chunks * width,) + out.shape[2:])[:n]
+    cols = 2 if f is None else 3  # the affine column carries f
+    n = len(m[0][0])
+    chunks = -(-n // _WIDTH)
+    full, rest = divmod(n, _WIDTH)
+    # axes: position within the chunk, matrix row, matrix column, chunk
+    p = np.empty((_WIDTH, 2, cols, chunks))
+    in_order = p.transpose(1, 2, 3, 0)  # rows, columns, then the steps in order
+    for r in range(2):
+        for c in range(cols):
+            in_order[r, c, :full] = m[r][c][:full * _WIDTH].reshape(full, _WIDTH)
+            in_order[r, c, full:, :rest] = m[r][c][full * _WIDTH:]
+    if rest:  # identity steps fill the last chunk, so no uninitialized value enters a product
+        p[rest:, :, :, -1] = np.eye(2, cols)
+    prod = np.empty((2, 2, cols, chunks))
+    for j in range(1, _WIDTH):
+        np.multiply(p[j, :, :2, None], p[j - 1, None], out=prod)
+        if f is not None:
+            prod[:, 0, 2] += p[j, :, 2]
+        np.add(prod[:, 0], prod[:, 1], out=p[j])
+
+    entry = np.empty((cols, len(u0), chunks))  # (u, u', f) entering each chunk
+    entry[0, :, 0], entry[1, :, 0] = u0, v0
+    if f is not None:
+        entry[2] = f[:, None]
+    if chunks > 1:
+        states = _states(p[-1, :, :, :-1], u0, v0, f)  # after each chunk but the last
+        entry[:2, :, 1:] = states.transpose(1, 2, 0)
+    states = np.einsum("jrsc,skc->cjrk", p, entry)  # chunk, position, row, column
+    return states.reshape(chunks * _WIDTH, 2, len(u0))[:n]
+
+
+def _product(m) -> np.ndarray:
+    """The 2x2 product of a power-of-two count of step matrices, the last on
+    the left, multiplied pairwise.
+
+    m[r][c] holds entry (r, c) of the step matrices; the affine column is
+    not read.
+    """
+    a = np.stack([row[:2] for row in m])  # rows, columns, step
+    while a.shape[-1] > 1:
+        prod = a[:, :, None, 1::2] * a[None, :, :, 0::2]  # each later step times the one before
+        a = prod[:, 0] + prod[:, 1]
+    return a[..., 0]
 
 
 def floquet_stability(a: float, q: float) -> FloquetResult:
@@ -259,12 +290,12 @@ def floquet_stability(a: float, q: float) -> FloquetResult:
 
     def trace_for(n: int) -> float:
         h = math.pi / n
-        basis = np.eye(3)[:, :2]  # the two fundamental solutions; no forcing
+        basis = np.eye(2)  # columns: the two fundamental solutions
         for k in range(0, n // 2, _BLOCK):
             tau = np.arange(2 * k, 2 * min(k + _BLOCK, n // 2) + 1) * (0.5 * h)
             c = a - 2.0 * q * np.cos(2.0 * tau)  # at the step ends and midpoints
-            basis = _propagate(_rk4_transfer(c[0:-1:2], c[1::2], c[2::2], 0.0, h), basis)[-1]
-        (y1, y2), (dy1, dy2) = basis[:2]
+            basis = _product(_rk4_transfer(c[0:-1:2], c[1::2], c[2::2], 0.0, h)) @ basis
+        (y1, y2), (dy1, dy2) = basis
         return float(2.0 * (y1 * dy2 + dy1 * y2))
 
     n = 1024
@@ -353,42 +384,47 @@ def integrate_motion(trap: TrapConfig, p: Particle,
     om = trap.drive_freq
     esc = ESCAPE_RADIUS_FACTOR * trap.z0
 
-    # rows (position, velocity, external acceleration), columns (x, y, z)
-    state = np.zeros((3, 3))
-    state[0], state[1] = x0, v0
-    if forces is not None:
-        state[2] = np.asarray(forces, dtype=float).reshape(-1, 3).sum(axis=0) / m
-    steps_kept, states_kept = [np.zeros(1, dtype=np.int64)], [state[None, :2]]
+    accel = None if forces is None else \
+        np.asarray(forces, dtype=float).reshape(-1, 3).sum(axis=0) / m
+    # axes: sample, (position, velocity), (x, y, z); a sample every store_every
+    # steps, at the last step and at an escape
+    steps = np.zeros(1 + -(-n_steps // store_every), dtype=np.int64)
+    states = np.empty(steps.shape + (2, 3))
+    states[0] = state = np.array([x0, v0], dtype=float)
+    stored = 1
     escape_step = None
 
     for k in range(0, n_steps, _BLOCK):
         n = min(_BLOCK, n_steps - k)
-        t = np.arange(2 * k, 2 * (k + n) + 1) * (0.5 * dt)  # step ends and midpoints
-        # the x and y axes share the radial stiffness -c/2, z (taken twice) has stiffness c
-        c = (cd * np.cos(om * t))[:, None] * (-0.5, 1.0)
-        transfer = _rk4_transfer(c[0:-1:2], c[1::2], c[2::2], trap.damping_gamma, dt)
-        with np.errstate(over="ignore", invalid="ignore"):  # only kept states must be finite
-            prop = _propagate(transfer, np.stack([state[:, :2], state[:, [2, 2]]]))
-        states = np.concatenate([prop[:, 0], prop[:, 1, :, :1]], axis=2)
+        # the z stiffness at the step ends and midpoints; x and y share the radial -c/2
+        c = cd * np.cos(om * (np.arange(2 * k, 2 * (k + n) + 1) * (0.5 * dt)))
+        parts = []
+        for scale, cols in ((-0.5, slice(0, 2)), (1.0, slice(2, 3))):
+            transfer = _rk4_transfer(scale * c[0:-1:2], scale * c[1::2], scale * c[2::2],
+                                     trap.damping_gamma, dt)
+            with np.errstate(over="ignore", invalid="ignore"):  # only kept states must be finite
+                parts.append(_states(transfer, *state[:, cols],
+                                     None if accel is None else accel[cols]))
+        block = np.concatenate(parts, axis=2)
         step = np.arange(k + 1, k + 1 + n)
         keep = (step % store_every == 0) | (step == n_steps)
-        out = np.flatnonzero(np.any(np.abs(states[:, 0]) > esc, axis=1))
+        out = np.flatnonzero(np.any(np.abs(block[:, 0]) > esc, axis=1))
         if out.size:  # store the samples up to the first escaping step, and that step
             escape_step = int(step[out[0]])
             keep[out[0]] = True
             keep[out[0] + 1:] = False
-        kept = states[keep, :2]
+        kept = block[keep]
         if not np.all(np.isfinite(kept)):
             raise FloatingPointError("the motion overflowed before it crossed the escape radius")
-        steps_kept.append(step[keep])
-        states_kept.append(kept)
+        steps[stored:stored + len(kept)] = step[keep]
+        states[stored:stored + len(kept)] = kept
+        stored += len(kept)
         if escape_step is not None:
             break
-        state = states[-1]
+        state = block[-1].copy()  # a copy, so that the block is freed
 
-    states = np.concatenate(states_kept)
-    return Trajectory(t=np.concatenate(steps_kept) * dt, positions=states[:, 0],
-                      velocities=states[:, 1], escaped=escape_step is not None,
+    return Trajectory(t=steps[:stored] * dt, positions=states[:stored, 0],
+                      velocities=states[:stored, 1], escaped=escape_step is not None,
                       escape_time=None if escape_step is None else escape_step * dt)
 
 
@@ -440,7 +476,7 @@ def frequency_ramp_instability(trap: TrapConfig, p: Particle,
                       "the detected instability frequency will lag", stacklevel=2)
 
     k_acc = 2.0 * p.total_charge * drive_curvature(trap) / m
-    state = np.array([[seed_displacement], [0.0], [0.0]])
+    state = np.array([[seed_displacement], [0.0]])  # rows (u, u'), one column
     n_steps = math.ceil(steps)
 
     for k in range(0, n_steps, _BLOCK):
@@ -451,7 +487,7 @@ def frequency_ramp_instability(trap: TrapConfig, p: Particle,
         mid = phase[:-1] + 0.5 * dt * (omega_start - ramp_rate * (j[:-1] * dt))
         k_ends, k_mid = k_acc * np.cos(phase), k_acc * np.cos(mid)
         transfer = _rk4_transfer(k_ends[:-1], k_mid, k_ends[1:], trap.damping_gamma, dt)
-        states = _propagate(transfer, state)
+        states = _states(transfer, state[0], state[1])
         out = np.flatnonzero(np.abs(states[:, 0, 0]) > esc)
         if out.size:
             omega = float(omega_start - ramp_rate * ((j[out[0]] + 1) * dt))
