@@ -35,7 +35,7 @@ from .esr import (FieldOrientation, LineModel, extremal_field_estimate,
                   uniform_grid, zeeman_shifts)
 from .rotation import (AngularState, AngularTrapParams, angular_stability,
                        integrate_angle, libration_frequency)
-from .solver import compare_orientations, detect_peaks, solve_equidistant, solve_general
+from .solver import compare_orientations, detect_peaks, solve_general
 from .trap import (LaserConfig, TrapConfig, charge_to_mass_from_instability,
                    drive_curvature, equilibrium_displacement, find_stability_boundary,
                    floquet_stability, frequency_ramp_instability, integrate_motion,
@@ -140,7 +140,6 @@ KEYSPECS: dict[str, dict] = {
     "esr-solve": {
         "input": (_REQUIRED, str),
         **_DETECT_KEYS,
-        "spacing_tolerance": (0.05, float),
         "residual_threshold_hz": (30e6, float),
         "b_fixed_gauss": (0.0, float),  # 0 -> field is a free fit parameter
     },
@@ -149,7 +148,6 @@ KEYSPECS: dict[str, dict] = {
         "input_after": (_REQUIRED, str),
         "b_gauss": (_REQUIRED, float),
         **_DETECT_KEYS,
-        "spacing_tolerance": (0.05, float),
     },
 }
 
@@ -218,9 +216,7 @@ def _field(cfg: dict) -> FieldOrientation:
 
 
 def _auto_grid(cfg: dict, lo: float, hi: float) -> np.ndarray:
-    gmin = cfg["grid_min_hz"] if cfg["grid_min_hz"] > 0.0 else lo
-    gmax = cfg["grid_max_hz"] if cfg["grid_max_hz"] > 0.0 else hi
-    return uniform_grid(gmin, gmax, cfg["grid_points"])
+    return uniform_grid(cfg["grid_min_hz"] or lo, cfg["grid_max_hz"] or hi, cfg["grid_points"])
 
 
 def _run_trap_sim(cfg: dict, run_dir: Path) -> str:
@@ -257,12 +253,12 @@ def _run_ramp_infer(cfg: dict, run_dir: Path) -> str:
     trap = replace(_trap(cfg, cfg["omega_start_hz"]), xi=cfg["xi_v_m2"])
     om_start = trap.drive_freq
     om_end = TWO_PI * cfg["omega_end_hz"]
-    if cfg["ramp_rate_hz_s"] > 0.0:
+    if cfg["ramp_rate_hz_s"]:
         rate = TWO_PI * cfg["ramp_rate_hz_s"]
     else:
         t_sec = TWO_PI / secular_frequency(trap, p)
         rate = 0.002 * om_start / t_sec
-    seed = cfg["seed_displacement_m"] if cfg["seed_displacement_m"] > 0.0 else None
+    seed = cfg["seed_displacement_m"] or None
     om_unstable = frequency_ramp_instability(trap, p, om_start, om_end, rate,
                                              seed_displacement=seed)
     qm_drive = charge_to_mass_from_instability(om_unstable, drive_curvature(trap))
@@ -321,7 +317,7 @@ def _run_esr_broadened(cfg: dict, run_dir: Path) -> str:
     field = _field(cfg)
     model = LineModel(hwhm=cfg["hwhm_hz"], contrast_per_line=cfg["contrast"])
     axis = np.array([cfg["rot_axis_x"], cfg["rot_axis_y"], cfg["rot_axis_z"]])
-    norm = float(np.linalg.norm(axis))
+    norm = math.hypot(*axis)  # no overflow or underflow in the squares
     if norm == 0.0:
         raise ConfigError("rot_axis_x/y/z must not all be zero")
     axis = axis / norm
@@ -333,12 +329,13 @@ def _run_esr_broadened(cfg: dict, run_dir: Path) -> str:
     spectrum = rotation_broadened_spectrum(field, axis, model, grid, n_cells=cfg["n_cells"])
     dataio.write_spectrum(run_dir / "spectrum.csv", spectrum)
     depth_max = float(np.max(1.0 - spectrum.values))
-    threshold = cfg["threshold"] if cfg["threshold"] > 0.0 else 0.5 * depth_max
-    try:
-        b_est = extremal_field_estimate(spectrum, threshold)
-        b_text = f"{b_est:.6g}"
-    except SolverError:
-        b_text = "nan"
+    b_text = "nan"
+    if cfg["threshold"] or depth_max > 0.0:  # the auto threshold needs a dip
+        try:
+            b_est = extremal_field_estimate(spectrum, cfg["threshold"] or 0.5 * depth_max)
+            b_text = f"{b_est:.6g}"
+        except SolverError:
+            pass
     return (f"esr-broadened: max_depth={depth_max:.4g} b_estimate_gauss={b_text} "
             f"points={grid.size}")
 
@@ -351,12 +348,8 @@ def _detected_peaks(cfg: dict, path: str):
 
 def _run_esr_solve(cfg: dict, run_dir: Path) -> str:
     peaks = _detected_peaks(cfg, cfg["input"])
-    if cfg["b_fixed_gauss"] > 0.0:
-        sol = solve_general(peaks, residual_threshold_hz=cfg["residual_threshold_hz"],
-                            b_fixed=cfg["b_fixed_gauss"])
-    else:
-        sol = solve_equidistant(peaks, spacing_tolerance=cfg["spacing_tolerance"],
-                                residual_threshold_hz=cfg["residual_threshold_hz"])
+    sol = solve_general(peaks, residual_threshold_hz=cfg["residual_threshold_hz"],
+                        b_fixed=cfg["b_fixed_gauss"] or None)
     dataio.write_solution(run_dir / "solution.txt", sol)
     return (f"esr-solve: theta_deg={math.degrees(sol.theta):.2f} "
             f"phi_deg={math.degrees(sol.phi):.2f} b_gauss={sol.b_gauss:.2f} "
@@ -367,8 +360,7 @@ def _run_esr_solve(cfg: dict, run_dir: Path) -> str:
 def _run_esr_compare(cfg: dict, run_dir: Path) -> str:
     before = _detected_peaks(cfg, cfg["input_before"])
     after = _detected_peaks(cfg, cfg["input_after"])
-    report = compare_orientations(before, after, b_fixed=cfg["b_gauss"],
-                                  spacing_tolerance=cfg["spacing_tolerance"])
+    report = compare_orientations(before, after, b_fixed=cfg["b_gauss"])
     dataio.write_rotation_report(run_dir / "report.txt", report)
     return (f"esr-compare: theta_before_deg={math.degrees(report.before.theta):.2f} "
             f"phi_before_deg={math.degrees(report.before.phi):.2f} "

@@ -26,6 +26,9 @@ from .core import CONSTANTS, nv_axes
 from .errors import SolverError
 
 _MAX_GRID_POINTS = 10 ** 7  # points of one frequency grid
+# cells per broadened line: each 8192-point pass of the broadening holds a few
+# n_cells x 8192 float arrays, 131 MB each at the bound
+_MAX_CELLS = 2000
 
 
 @dataclass(frozen=True)
@@ -207,10 +210,10 @@ def rotation_broadened_spectrum(field: FieldOrientation, rotation_axis,
     sweep distribution (cell masses integrate the arcsine density exactly, so
     the dip area is preserved); a Lorentzian is placed at each cell's mass
     centroid.  A zero sweep range reduces a line to the static Lorentzian
-    exactly.
+    exactly.  Takes 1 to 2000 cells.
     """
-    if n_cells < 1:
-        raise ValueError("n_cells must be >= 1")
+    if not 1 <= n_cells <= _MAX_CELLS:
+        raise ValueError(f"n_cells must be between 1 and {_MAX_CELLS}")
     grid = np.asarray(grid_hz, dtype=float)
     centers, half_ranges = sweep_amplitudes(field, rotation_axis)
     d = CONSTANTS.zero_field_splitting_hz

@@ -176,18 +176,25 @@ def libration_frequency(traj: AngleTrajectory) -> float:
     """Angular frequency (rad/s) of the dominant sub-drive peak of alpha(t).
 
     The trajectory should span at least ten libration periods for a reliable
-    estimate (a shorter span only earns a warning); an error is raised for an
-    escaped run, which does not librate, and when no secular peak stands out
-    below half the drive frequency.
+    estimate (a shorter span only earns a warning).  A last sample off the
+    stored grid (a step count that store_every does not divide) is left out.
+    A SolverError is raised for an escaped run, which does not librate, for
+    fewer than 16 samples, and when no secular peak stands out below half
+    the drive frequency.
     """
     if traj.escaped:
         raise SolverError("the tilt escaped: no libration to measure")
+    t, alpha = traj.t, traj.alpha
+    if t.size > 2 and not math.isclose(t[-1] - t[-2], t[1] - t[0], rel_tol=1e-9):
+        t, alpha = t[:-1], alpha[:-1]
+    if t.size < 16:
+        raise SolverError(f"{t.size} samples are too few to measure a libration")
     f_max = traj.drive_freq / (2.0 * 2.0 * math.pi)  # Hz, half the drive
     try:
-        w = dominant_frequency(traj.t, traj.alpha, f_max)
+        w = dominant_frequency(t, alpha, f_max)
     except SolverError as exc:
         raise SolverError("no secular libration detected") from exc
-    span = float(traj.t[-1] - traj.t[0])
+    span = float(t[-1] - t[0])
     if w * span / (2.0 * math.pi) < 10.0:
         warnings.warn("trajectory spans fewer than ten libration periods; "
                       "the frequency estimate may be coarse", stacklevel=2)

@@ -4,23 +4,23 @@ field recovery, degeneracy enumeration, and two-spectrum rotation analysis.
 The recovered orientation is only defined up to the symmetry group of the
 four defect axes: any signed permutation of the crystal-frame coordinates
 maps the axis set onto itself up to sign and therefore leaves the eight-dip
-spectrum unchanged.  Solvers report one representative and enumerate the
-class; ties between exact-fit class members are broken deterministically by
-smallest azimuthal angle, then smallest polar angle.  ``solve_general`` is
-the one orientation fit: an exact least-squares solve of up to eight dips on
-the two cones of field vectors that hold one member of every class; at a
-given field the same candidates, scaled to that field, give the exact solve
-as well.  On an equally spaced eight-dip spectrum the closed form of
-``equidistant_inversion`` only names the reported member: the one nearest
-the closed-form angles.
+spectrum unchanged.  Solvers report one member, named by one rule, and
+enumerate the whole class.  ``solve_general`` is the one orientation fit:
+an exact least-squares solve of up to eight dips on the two cones of field
+vectors that hold one member of every class; at a given field the same
+candidates, scaled to that field, give the exact solve as well.  On an
+equally spaced eight-dip spectrum (spacings within 5 % of their mean) the
+closed form of ``equidistant_inversion`` names the reported member, the one
+nearest the closed-form angles, at free and at fixed field alike; on any
+other input it is the member with smallest azimuthal angle, then smallest
+polar angle.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
-import warnings
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 # unused here; kept because the benchmark's tracer wraps solver.least_squares by
@@ -32,6 +32,7 @@ from .errors import SolverError
 from .esr import FieldOrientation, Spectrum
 
 _EXTREMAL_MATCH_TOLERANCE = 0.02  # relative change of the outermost shift
+_SPACING_TOLERANCE = 0.05  # of the mean spacing, for the equidistant pattern
 
 
 @dataclass
@@ -226,60 +227,29 @@ def _cone_faces() -> tuple[np.ndarray, np.ndarray, np.ndarray]:
 _FACE_RAYS, _FACE_MAGS, _FACE_PINV = _cone_faces()
 
 
-def _equidistant_shifts(peaks: PeakList, tolerance: float) -> np.ndarray | None:
-    """The four descending positive-side shifts, or None when the eight-dip
-    equally-spaced pattern does not hold within ``tolerance``."""
+def _equidistant_shifts(peaks: PeakList) -> tuple[float, float] | None:
+    """The two outermost positive-side shifts of an eight-dip pattern whose
+    positive-side spacings lie within _SPACING_TOLERANCE of their mean and
+    whose shifts lie inside the closed-form domain of
+    ``equidistant_inversion``, or None.  Plain floats: it runs on every fit."""
     if len(peaks) != 8:
         return None
     d = CONSTANTS.zero_field_splitting_hz
-    f = peaks.frequencies
-    pos = np.sort(f[f > d] - d)[::-1]
-    if pos.size != 4 or np.count_nonzero(f < d) != 4:
+    f = peaks.frequencies.tolist()
+    if not f[3] < d < f[4]:  # four dips on either side
         return None
-    spacings = -np.diff(pos)
-    mean = float(spacings.mean())
-    if mean > 0.0 and float(np.max(np.abs(spacings - mean))) > tolerance * mean:
+    pos = [x - d for x in reversed(f[4:])]  # descending
+    spacings = [a - b for a, b in zip(pos, pos[1:])]
+    mean = sum(spacings) / 3.0
+    if mean > 0.0 and max(abs(s - mean) for s in spacings) > _SPACING_TOLERANCE * mean:
         return None
-    return pos
+    return (pos[0], pos[1]) if pos[0] / pos[1] < 3.0 else None
 
 
-def _closed_form_angles(peaks: PeakList, spacing_tolerance: float
-                        ) -> tuple[tuple[float, float] | None, str]:
-    """The closed-form equidistant (theta, phi), or None and why it does not apply."""
-    shifts = _equidistant_shifts(peaks, spacing_tolerance)
-    if shifts is None:
-        return None, "peaks are not an equidistant eight-dip pattern"
-    try:
-        theta, phi, _ = equidistant_inversion(shifts[0], shifts[1])
-    except ValueError as exc:
-        return None, f"closed-form inversion rejected the shifts ({exc})"
-    return (theta, phi), ""
-
-
-def _nearest_member(sol: EsrSolution, theta: float, phi: float) -> EsrSolution:
-    """``sol`` reported as its class member nearest (theta, phi): the largest
-    cosine between the unit vectors."""
-    t, p = np.array(sol.degeneracy_class).T
-    cos = np.sin(p) * math.sin(phi) * np.cos(t - theta) + np.cos(p) * math.cos(phi)
-    nearest = sol.degeneracy_class[int(np.argmax(cos))]
-    return replace(sol, theta=nearest[0], phi=nearest[1], method="equidistant")
-
-
-def solve_equidistant(peaks: PeakList, spacing_tolerance: float = 0.05,
-                      residual_threshold_hz: float = 30e6) -> EsrSolution:
-    """Orientation fit of an eight-dip, equally spaced spectrum.
-
-    The fit is ``solve_general`` with ``residual_threshold_hz``.  When the
-    input is equidistant within ``spacing_tolerance`` of the mean spacing and
-    inside the closed-form domain, the reported member is the one nearest the
-    closed-form angles, with ``method = "equidistant"``; otherwise a warning
-    says so and the general solver's representative is reported.
-    """
-    angles, reason = _closed_form_angles(peaks, spacing_tolerance)
-    if angles is None:
-        warnings.warn(f"{reason}; falling back to the general solver", stacklevel=2)
-    sol = solve_general(peaks, residual_threshold_hz=residual_threshold_hz)
-    return sol if angles is None else _nearest_member(sol, *angles)
+def solve_equidistant(peaks: PeakList, residual_threshold_hz: float = 30e6) -> EsrSolution:
+    """``solve_general`` at free field, under the name the benchmark fits
+    equally spaced spectra by and its tracer counts those fits under."""
+    return solve_general(peaks, residual_threshold_hz=residual_threshold_hz)
 
 
 def solve_general(peaks: PeakList, residual_threshold_hz: float = 30e6,
@@ -295,10 +265,17 @@ def solve_general(peaks: PeakList, residual_threshold_hz: float = 30e6,
     scaled to that field and scored again: the eight unit-field lines have
     squared norm 8 in every direction, so a split's best direction is the
     same at every field, and the best scaled candidate is the global optimum
-    at that field.  The residual is the rms over the eight lines.  Reports
-    the class member with smallest theta, then phi; raises for more than
-    eight dips or a residual above ``residual_threshold_hz``.
+    at that field.  The residual is the rms over the eight lines.
+
+    On an equally spaced eight-dip pattern (``_equidistant_shifts``) the
+    reported class member is the one nearest the closed-form angles of
+    ``equidistant_inversion``, with ``method = "equidistant"``; otherwise it
+    is the member with smallest theta, then phi.  Raises for a ``b_fixed``
+    that is not finite and > 0, more than eight dips or a residual above
+    ``residual_threshold_hz``.
     """
+    if b_fixed is not None and not (0.0 < b_fixed < math.inf):
+        raise ValueError(f"b_fixed must be finite and > 0, got {b_fixed:g}")
     n = len(peaks)
     if n < 1:
         raise ValueError("need at least one dip to constrain the orientation")
@@ -330,9 +307,17 @@ def solve_general(peaks: PeakList, residual_threshold_hz: float = 30e6,
             f"no consistent orientation: best residual {rms:.3g} Hz exceeds "
             f"threshold {residual_threshold_hz:.3g} Hz")
     members, continuous = _orientation_class(theta, phi)
-    theta, phi = members[0]  # deterministic class representative
+    shifts = _equidistant_shifts(peaks)
+    if shifts is None:
+        method, (theta, phi) = "general", members[0]
+    else:  # the member nearest the closed-form angles: the largest cosine
+        theta0, phi0, _ = equidistant_inversion(*shifts)
+        t, p = np.array(members).T
+        cos = np.sin(p) * math.sin(phi0) * np.cos(t - theta0) + np.cos(p) * math.cos(phi0)
+        method, (theta, phi) = "equidistant", members[int(np.argmax(cos))]
     return EsrSolution(theta=theta, phi=phi, b_gauss=b, residual_rms_hz=rms,
-                       degeneracy_class=members, continuous_theta=continuous)
+                       degeneracy_class=members, continuous_theta=continuous,
+                       method=method)
 
 
 @dataclass
@@ -346,27 +331,18 @@ class RotationReport:
     merged_central_pair: bool   # the second spectrum resolves fewer dips per side
 
 
-def compare_orientations(before: PeakList, after: PeakList, b_fixed: float,
-                         spacing_tolerance: float = 0.05) -> RotationReport:
+def compare_orientations(before: PeakList, after: PeakList, b_fixed: float) -> RotationReport:
     """Solve two dip lists at a common field and report the implied rotation.
 
     Each list is fitted by ``solve_general`` at ``b_fixed``, so both reports
-    carry that field; an equidistant list (as in ``solve_equidistant``, but
-    silent otherwise) reports the member nearest the closed-form angles.
-    The outermost dips of the two spectra are compared (within 2 % of the
-    first) as a diagnostic rather than enforced as a constraint, since an
-    exactly preserved extreme is generally inconsistent with the projection
-    model; the merged-pair flag records that the second spectrum resolves
-    fewer dips on each side of the central frequency.  Solver failures
-    propagate.
+    carry that field and name their members by its rule.  The outermost
+    dips of the two spectra are compared (within 2 % of the first) as a
+    diagnostic rather than enforced as a constraint, since an exactly
+    preserved extreme is generally inconsistent with the projection model;
+    the merged-pair flag records that the second spectrum resolves fewer
+    dips on each side of the central frequency.  Solver failures propagate.
     """
-    if not (b_fixed > 0.0):
-        raise ValueError("b_fixed must be > 0")
-    sols = []
-    for peaks in (before, after):
-        angles, _ = _closed_form_angles(peaks, spacing_tolerance)
-        sol = solve_general(peaks, b_fixed=b_fixed)
-        sols.append(sol if angles is None else _nearest_member(sol, *angles))
+    sols = [solve_general(peaks, b_fixed=b_fixed) for peaks in (before, after)]
     d = CONSTANTS.zero_field_splitting_hz
     ext_before = float(np.max(np.abs(before.frequencies - d)))
     ext_after = float(np.max(np.abs(after.frequencies - d)))

@@ -183,6 +183,20 @@ def drive_curvature(trap: TrapConfig) -> float:
     return curvature
 
 
+def _drive_stiffness(trap: TrapConfig, p: Particle) -> float:
+    """Signed drive stiffness amplitude 2 Q kappa / m (1/s^2), kappa the drive
+    curvature: the axial stiffness per unit mass at the drive's crest; the
+    radial one is minus half of it."""
+    m = particle_mass(p)
+    if p.total_charge == 0.0:
+        raise UntrappedParticleError("uncharged particle is untrapped")
+    stiffness = 2.0 * p.total_charge * drive_curvature(trap) / m
+    if not (0.0 < abs(stiffness) < math.inf):
+        raise ValueError(f"drive stiffness 2 Q kappa / m = {stiffness:g} 1/s^2 must be "
+                         f"finite and nonzero")
+    return stiffness
+
+
 @dataclass(frozen=True)
 class FloquetResult:
     stable: bool
@@ -375,17 +389,17 @@ def integrate_motion(trap: TrapConfig, p: Particle,
     ``forces`` is a list of constant external force vectors (N).  Integration
     stops early with the escape flag set once any coordinate exceeds
     100 * z0.  Requires 0 < dt <= 2 pi / (200 Omega) so the drive is resolved,
-    and at most 1e8 steps and 1e7 stored samples.  Raises FloatingPointError
+    and at most 1e8 steps and 1e7 stored samples.  Raises
+    UntrappedParticleError for an uncharged particle, and FloatingPointError
     when the motion leaves the floating-point range before it escapes.
     """
     n_steps = _fixed_step_count(t_end, dt, trap.drive_freq, store_every)
-    m = particle_mass(p)
-    cd = 2.0 * p.total_charge * drive_curvature(trap) / m  # drive stiffness amplitude
+    cd = _drive_stiffness(trap, p)
     om = trap.drive_freq
     esc = ESCAPE_RADIUS_FACTOR * trap.z0
 
     accel = None if forces is None else \
-        np.asarray(forces, dtype=float).reshape(-1, 3).sum(axis=0) / m
+        np.asarray(forces, dtype=float).reshape(-1, 3).sum(axis=0) / particle_mass(p)
     # axes: sample, (position, velocity), (x, y, z); a sample every store_every
     # steps, at the last step and at an escape
     steps = np.zeros(1 + -(-n_steps // store_every), dtype=np.int64)
@@ -448,10 +462,8 @@ def frequency_ramp_instability(trap: TrapConfig, p: Particle,
         raise ValueError("need omega_start > omega_end > 0")
     if not (ramp_rate > 0.0):
         raise ValueError("ramp_rate must be > 0")
-    if p.total_charge == 0.0:
-        raise UntrappedParticleError("uncharged particle is untrapped")
+    k_acc = _drive_stiffness(trap, p)
 
-    m = particle_mass(p)
     if dt is None:
         dt = 2.0 * math.pi / (MIN_STEPS_PER_DRIVE_PERIOD * omega_start)
     elif not (dt > 0.0):
@@ -475,7 +487,6 @@ def frequency_ramp_instability(trap: TrapConfig, p: Particle,
         warnings.warn("ramp changes the drive by more than 1% per secular period; "
                       "the detected instability frequency will lag", stacklevel=2)
 
-    k_acc = 2.0 * p.total_charge * drive_curvature(trap) / m
     state = np.array([[seed_displacement], [0.0]])  # rows (u, u'), one column
     n_steps = math.ceil(steps)
 

@@ -30,6 +30,8 @@ _NAMED_FAULTS = {
     ("trap-sim", "--z0-m", "1e200"): "drive curvature eta * V_ac / (2 z0^2) = 0 V/m^2",
     ("trap-sim", "--z0-m", "1e-200"): "drive curvature eta * V_ac / (2 z0^2) = inf V/m^2",
     ("ramp-infer", "--z0-m", "1e-200"): "drive curvature eta * V_ac / (2 z0^2) = inf V/m^2",
+    ("trap-sim", "--density-kg-m3", "1e-300"):
+        "drive stiffness 2 Q kappa / m = -inf 1/s^2 must be finite and nonzero",
 }
 
 DEFAULT_SPECTRUM = "<the esr-forward default spectrum>"
@@ -136,9 +138,8 @@ class TestPhysicsAndSolverExitCodes:
         spectrum.write_text("frequency_hz,contrast\n"
                             + "\n".join(f"{x:.17g},{y:.17g}" for x, y in zip(f, values))
                             + "\n")
-        with pytest.warns(UserWarning, match="general solver"):
-            code, out, err = run_cli(capsys, "esr-solve", "--input", str(spectrum),
-                                     "--out", str(tmp_path))
+        code, out, err = run_cli(capsys, "esr-solve", "--input", str(spectrum),
+                                 "--out", str(tmp_path))
         assert code == 3
         assert out == ""
         assert "9 dips" in err
@@ -168,6 +169,7 @@ class TestPhysicsAndSolverExitCodes:
         # sizes far above the scan and grid bounds
         ("stability-scan", "--n-scan", "100000000"),
         ("esr-forward", "--grid-points", "1000000000"),
+        ("esr-broadened", "--n-cells", "2001"),
         # step counts far above the integrator bounds
         ("trap-sim", "--dt-s", "1e-300"),
         ("angular-sim", "--dt-s", "1e-300"),
@@ -186,6 +188,8 @@ class TestPhysicsAndSolverExitCodes:
         ("trap-sim", "--z0-m", "1e200"),
         ("trap-sim", "--z0-m", "1e-200"),
         ("ramp-infer", "--z0-m", "1e-200"),
+        # a drive stiffness 2 Q kappa / m beyond the float range
+        ("trap-sim", "--density-kg-m3", "1e-300"),
         # overflows deep in a kernel, named by the function they reach
         *_FAULTING_FUNCTIONS,
     ])
@@ -231,6 +235,18 @@ class TestPhysicsAndSolverExitCodes:
         assert code == 0, err
         assert "escaped=true" in out
         assert "libration_hz=nan" in out
+
+    @pytest.mark.parametrize("x, y", [("1e300", "-0.7071067811865476"), ("1e-300", "0")])
+    def test_rotation_axis_normalised_without_leaving_the_float_range(self, tmp_path, capsys,
+                                                                      x, y):
+        common = ["esr-broadened", "--grid-points", "2001", "--n-cells", "20",
+                  "--out", str(tmp_path)]
+        code, _, err = run_cli(capsys, *common, "--rot-axis-x", x, "--rot-axis-y", y)
+        assert code == 0, err
+        code, _, err = run_cli(capsys, *common, "--rot-axis-y", "0", "--name", "unit")
+        assert code == 0, err
+        assert ((tmp_path / "esr-broadened" / "spectrum.csv").read_bytes()
+                == (tmp_path / "unit" / "spectrum.csv").read_bytes())
 
     @pytest.mark.parametrize("sub", ["esr-solve", "esr-compare"])
     def test_smoothing_window_longer_than_spectrum_exits_1(self, tmp_path, capsys,
@@ -344,17 +360,24 @@ class TestPipelines:
         solution = (tmp_path / "solve" / "solution.txt").read_text()
         assert "method = equidistant" in solution
 
+    def test_fixed_field_names_the_free_fit_member(self, tmp_path, capsys, forward_spectra):
+        # the README default spectrum at the field that generated it
+        for name, extra in (("free", []), ("fixed", ["--b-fixed-gauss", "83.06930964009"])):
+            code, out, err = run_cli(capsys, "esr-solve", "--input", str(forward_spectra[0]),
+                                     *extra, "--out", str(tmp_path), "--name", name)
+            assert code == 0 and err == ""
+            assert "theta_deg=63.39 phi_deg=35.33" in out and "method=equidistant" in out
+
     def test_esr_forward_solve_round_trip_generic_orientation(self, tmp_path, capsys):
         code, _, _ = run_cli(capsys, "esr-forward", "--theta-deg", "40",
                              "--phi-deg", "20", "--b-gauss", "50",
                              "--hwhm-hz", "3e6",
                              "--out", str(tmp_path), "--name", "fwd2")
         assert code == 0
-        with pytest.warns(UserWarning):
-            code, out, _ = run_cli(capsys, "esr-solve",
-                                   "--input", str(tmp_path / "fwd2" / "spectrum.csv"),
-                                   "--min-separation-hz", "8e6",
-                                   "--out", str(tmp_path), "--name", "solve2")
+        code, out, _ = run_cli(capsys, "esr-solve",
+                               "--input", str(tmp_path / "fwd2" / "spectrum.csv"),
+                               "--min-separation-hz", "8e6",
+                               "--out", str(tmp_path), "--name", "solve2")
         assert code == 0
         b = float(out.split("b_gauss=")[1].split()[0])
         assert b == pytest.approx(50.0, abs=1.0)
@@ -414,6 +437,53 @@ class TestPipelines:
         theta_after = float(out.split("theta_after_deg=")[1].split()[0])
         assert abs(theta_after) < 1.0
         assert (tmp_path / "cmp" / "report.txt").is_file()
+
+
+class TestAutoKeys:
+    """A key whose 0 means auto takes any other value as given."""
+
+    @pytest.mark.parametrize("argv, message", [
+        (("esr-solve", "--input", DEFAULT_SPECTRUM, "--b-fixed-gauss", "-5"),
+         "b_fixed must be finite and > 0, got -5"),
+        (("ramp-infer", "--ramp-rate-hz-s", "-5000"), "ramp_rate must be > 0"),
+        (("esr-broadened", "--grid-points", "2001", "--threshold", "-0.01"),
+         "threshold must be > 0"),
+        (("esr-forward", "--grid-points", "2001", "--grid-max-hz", "-1"),
+         "need f_max > f_min"),
+    ])
+    def test_negative_value_reaches_the_library_check(self, tmp_path, capsys, forward_spectra,
+                                                      argv, message):
+        args = [str(forward_spectra[0]) if a == DEFAULT_SPECTRUM else a for a in argv]
+        code, out, err = run_cli(capsys, *args, "--out", str(tmp_path))
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error: ") and message in err
+
+    def test_negative_seed_displacement_is_the_mirrored_seed(self, tmp_path, capsys):
+        ramp = ["ramp-infer", "--omega-start-hz", "3100", "--omega-end-hz", "2800",
+                "--ramp-rate-hz-s", "5000", "--out", str(tmp_path)]
+        for name, seed in (("minus", "-1e-6"), ("plus", "1e-6"), ("auto", "0")):
+            code, _, err = run_cli(capsys, *ramp, "--name", name,
+                                   "--seed-displacement-m", seed)
+            assert code == 0, err
+        # the axial motion is linear in the seed: -1e-6 m escapes at the step 1e-6 m does
+        result = {name: (tmp_path / name / "ramp.txt").read_bytes()
+                  for name in ("minus", "plus", "auto")}
+        assert result["minus"] == result["plus"] != result["auto"]
+
+    def test_negative_grid_minimum_is_the_first_frequency(self, tmp_path, capsys):
+        code, _, err = run_cli(capsys, "esr-forward", "--grid-points", "2001",
+                               "--grid-min-hz", "-1e6", "--out", str(tmp_path))
+        assert code == 0, err
+        first = (tmp_path / "esr-forward" / "spectrum.csv").read_text().splitlines()[1]
+        assert float(first.split(",")[0]) == -1e6
+
+    def test_broadened_spectrum_without_a_dip_has_no_field_estimate(self, tmp_path, capsys):
+        code, out, err = run_cli(capsys, "esr-broadened", "--hwhm-hz", "1e-300",
+                                 "--grid-points", "2001", "--n-cells", "20",
+                                 "--out", str(tmp_path))
+        assert code == 0, err
+        assert "max_depth=0 " in out and "b_estimate_gauss=nan" in out
 
 
 class TestForwardSolveGridSample:

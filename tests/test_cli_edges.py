@@ -1,12 +1,13 @@
-"""Edge-value gate for the trap subcommands.
+"""Edge-value gate for every subcommand.
 
-Every run of ``trap-sim``, ``stability-scan`` and ``ramp-infer`` with one to
-three keys set to an edge value (0, the float extremes, +-1, +-1e6, +-1e9,
-+-1e300; -1 to 2 for integers) or to an ordinary value must end in a
-documented exit code.  A failure prints one line that names the error class
-and carries no raw numpy text; a success leaves only finite numbers in its
-artifacts.  The keys that set the amount of work start from a small run and
-take only values that keep it small or that are rejected before any work.
+Every run of a subcommand with one to three numeric keys set to an edge
+value (0, the float extremes, +-1, +-1e6, +-1e9, +-1e300; -1 to 2 for
+integers) or to an ordinary value must end in a documented exit code.  A
+failure prints one line that names the error class and carries no raw numpy
+text; a success leaves only finite numbers in its artifacts.  The keys that
+set the amount of work start from a small run and take only values that
+keep it small or that are rejected before any work.  ``esr-solve`` and
+``esr-compare`` read small spectra that ``esr-forward`` writes once.
 """
 
 import math
@@ -28,14 +29,25 @@ INT_EDGES = (-1, 0, 1, 2)
 # ordinary values of a key whose default is 0, spanning the keys' scales
 ZERO_DEFAULT_ORDINARY = (1e-6, -1e-6, 0.1)
 
-# a small run of each subcommand: a 200-step trajectory, a three-point scan
-# and a ramp over 300 Hz at a fixed rate (33k steps) that the default
-# particle does not survive
+# placeholders for the input spectra: the default orientation, and theta = 0
+BEFORE, AFTER = "<before spectrum>", "<after spectrum>"
+SPECTRUM_POINTS = 4001
+
+# a small run of each subcommand: a 200-step trajectory, a three-point scan,
+# a ramp over 300 Hz at a fixed rate (33k steps) that the default particle
+# does not survive, a 200-step tilt run, 2001-point spectra with 20 cells per
+# broadened line, and fits of 4001-point spectra
 SMALL_RUN = {
     "trap-sim": {"t_end_s": 2e-4},
     "stability-scan": {"n_scan": 3},
     "ramp-infer": {"omega_start_hz": 3100.0, "omega_end_hz": 2800.0,
                    "ramp_rate_hz_s": 5000.0},
+    "radiation": {},
+    "angular-sim": {"t_end_s": 2e-4},
+    "esr-forward": {"grid_points": 2001},
+    "esr-broadened": {"grid_points": 2001, "n_cells": 20},
+    "esr-solve": {"input": BEFORE},
+    "esr-compare": {"input_before": BEFORE, "input_after": AFTER, "b_gauss": 83.06930964009},
 }
 # t_end_s = 1 would take a million steps; every other edge of a work key is
 # rejected before any work or shortens the run
@@ -57,6 +69,8 @@ def values(sub: str, key: str):
 
 
 def assert_finite_artifacts(run_dir: Path):
+    """Every number in the artifacts is finite; words (a method name, a
+    boolean) and the degeneracy class list are not checked."""
     artifacts = [path for path in run_dir.iterdir() if path.name != "resolved.cfg"]
     assert artifacts
     for path in artifacts:
@@ -65,20 +79,35 @@ def assert_finite_artifacts(run_dir: Path):
             assert np.all(np.isfinite(table)), path.name
         else:
             for key, text in read_key_values(path).items():
-                assert math.isfinite(float(text)), (path.name, key, text)
+                try:
+                    number = float(text)
+                except ValueError:
+                    continue
+                assert math.isfinite(number), (path.name, key, text)
+
+
+@pytest.fixture(scope="module")
+def spectra(tmp_path_factory) -> dict[str, str]:
+    root = tmp_path_factory.mktemp("spectra")
+    for name, extra in (("before", []), ("after", ["--theta-deg", "0"])):
+        assert cli.run(["esr-forward", "--grid-points", str(SPECTRUM_POINTS), *extra,
+                        "--out", str(root), "--name", name]) == 0
+    return {BEFORE: str(root / "before" / "spectrum.csv"),
+            AFTER: str(root / "after" / "spectrum.csv")}
 
 
 @pytest.mark.parametrize("sub", sorted(SMALL_RUN))
 @settings(derandomize=True, max_examples=100, deadline=None,
           suppress_health_check=[HealthCheck.function_scoped_fixture])
 @given(data=st.data())
-def test_edge_values_exit_with_a_documented_code(tmp_path, capsys, sub, data):
-    keys = data.draw(st.lists(st.sampled_from(sorted(cli.KEYSPECS[sub])),
-                              min_size=1, max_size=3, unique=True), label="keys")
+def test_edge_values_exit_with_a_documented_code(tmp_path, capsys, spectra, sub, data):
+    numeric = sorted(key for key, (_, typ) in cli.KEYSPECS[sub].items() if typ is not str)
+    keys = data.draw(st.lists(st.sampled_from(numeric), min_size=1, max_size=3, unique=True),
+                     label="keys")
     drawn = {key: data.draw(values(sub, key), label=key) for key in keys}
     argv = [sub]
     for key, value in {**SMALL_RUN[sub], **drawn}.items():
-        argv += ["--" + key.replace("_", "-"), repr(value)]
+        argv += ["--" + key.replace("_", "-"), spectra.get(value, repr(value))]
     out_root = Path(tempfile.mkdtemp(dir=tmp_path))
     capsys.readouterr()
     with warnings.catch_warnings(record=True) as caught:

@@ -1,8 +1,14 @@
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import levitaq
+from levitaq import esr
 from levitaq.core import nv_axes
 from levitaq.errors import SolverError
 from levitaq.esr import (FieldOrientation, LineModel, Spectrum,
@@ -228,6 +234,28 @@ class TestRotationBroadening:
         area = np.trapezoid(1.0 - broad.values, grid)
         analytic = 8.0 * model.contrast_per_line * math.pi * model.hwhm
         assert area == pytest.approx(analytic, rel=0.01)
+
+    def test_cell_count_above_the_bound_rejected(self):
+        grid = uniform_grid(D_ZFS - 180e6, D_ZFS + 180e6, 1501)
+        with pytest.raises(ValueError, match="n_cells must be between 1 and 2000"):
+            rotation_broadened_spectrum(B111, AXIS_PERP, LineModel(), grid,
+                                        n_cells=esr._MAX_CELLS + 1)
+
+    def test_peak_memory_at_the_cell_bound_stays_under_1_gb(self):
+        # one full 8192-point pass at the bound, in a fresh interpreter
+        code = ("import math, resource, numpy as np\n"
+                "from levitaq import esr\n"
+                "field = esr.FieldOrientation(b_gauss=20.0, theta=math.radians(45.0),"
+                " phi=math.acos(1.0 / math.sqrt(3.0)))\n"
+                "axis = np.array([1.0, -1.0, 0.0]) / math.sqrt(2.0)\n"
+                "grid = esr.uniform_grid(2.87e9 - 300e6, 2.87e9 + 300e6, 8193)\n"
+                "esr.rotation_broadened_spectrum(field, axis, esr.LineModel(), grid,"
+                " n_cells=esr._MAX_CELLS)\n"
+                "print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss)\n")
+        src = str(Path(levitaq.__file__).resolve().parents[1])
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                              env={**os.environ, "PYTHONPATH": src}, timeout=120, check=True)
+        assert int(proc.stdout) < 1024 * 1024  # kB
 
     def test_broadening_grows_with_field(self):
         model = LineModel()

@@ -152,6 +152,22 @@ class TestLibrationFrequency:
         with pytest.warns(UserWarning, match="fewer than ten"):
             libration_frequency(traj)
 
+    def test_last_sample_off_the_stored_grid_is_left_out(self):
+        params = AngularTrapParams(omega_alpha=TWO_PI * 100.0, drive_freq=TWO_PI * 5000.0)
+        # 120000 steps, a sample every 7 and one at the last step
+        traj = integrate_angle(params, AngularState(0.05, 0.0), t_end=0.12, dt=1e-6,
+                               store_every=7)
+        on_grid = AngleTrajectory(t=traj.t[:-1], alpha=traj.alpha[:-1],
+                                  alpha_dot=traj.alpha_dot[:-1], drive_freq=traj.drive_freq)
+        assert libration_frequency(traj) == libration_frequency(on_grid)
+        assert libration_frequency(traj) == pytest.approx(TWO_PI * 100.0, rel=0.05)
+
+    def test_too_few_samples_have_no_libration(self):
+        params = AngularTrapParams(omega_alpha=TWO_PI * 50.0, drive_freq=TWO_PI * 5000.0)
+        traj = integrate_angle(params, AngularState(0.05, 0.0), t_end=1e-5, dt=1e-6)
+        with pytest.raises(SolverError, match="11 samples are too few"):
+            libration_frequency(traj)
+
     def test_fixed_point_has_no_libration(self):
         params = AngularTrapParams(omega_alpha=TWO_PI * 50.0, drive_freq=TWO_PI * 5000.0)
         traj = integrate_angle(params, AngularState(0.0, 0.0), t_end=0.05, dt=1e-6)

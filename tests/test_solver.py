@@ -1,6 +1,5 @@
 import itertools
 import math
-import warnings
 
 import numpy as np
 import pytest
@@ -110,10 +109,9 @@ class TestSolveEquidistant:
         assert sol.b_gauss == pytest.approx(83.07, abs=0.01)
         assert sol.residual_rms_hz < 1e6
 
-    def test_falls_through_to_general_with_notice(self):
+    def test_non_equidistant_input_reports_the_general_member(self):
         peaks = peaks_for(math.radians(40.0), math.radians(20.0), 50.0)
-        with pytest.warns(UserWarning, match="general solver"):
-            sol = solve_equidistant(peaks)
+        sol = solve_equidistant(peaks)
         assert sol.method == "general"
         assert class_distance_deg(sol, math.radians(40.0), math.radians(20.0)) < 0.1
 
@@ -539,6 +537,22 @@ def test_near_equidistant_compare_reports_the_exact_solve(before, b, after):
         assert sol.residual_rms_hz < 1.0
 
 
+def test_fixed_field_names_the_member_the_free_fit_names():
+    free = solve_equidistant(CANONICAL_PEAKS)
+    fixed = solve_general(CANONICAL_PEAKS, b_fixed=B_REF)
+    assert free.method == fixed.method == "equidistant"
+    assert (fixed.theta, fixed.phi) == (free.theta, free.phi)
+    assert fixed.b_gauss == B_REF
+
+
+@pytest.mark.parametrize("b_fixed", [0.0, -5.0, math.inf, math.nan])
+def test_b_fixed_must_be_finite_and_positive(b_fixed):
+    with pytest.raises(ValueError, match="b_fixed must be finite and > 0"):
+        solve_general(CANONICAL_PEAKS, b_fixed=b_fixed)
+    with pytest.raises(ValueError, match="b_fixed must be finite and > 0"):
+        compare_orientations(CANONICAL_PEAKS, CANONICAL_PEAKS, b_fixed=b_fixed)
+
+
 def test_near_equidistant_solve_reports_the_exact_solve():
     theta, phi, b = math.radians(28.0927), math.radians(77.1543), 59.9598
     sol = solve_equidistant(peaks_for(theta, phi, b))
@@ -563,9 +577,7 @@ def test_equidistant_and_compare_report_a_member_of_the_exact_solve(theta0, phi0
     """solve_equidistant and compare_orientations report a member of
     solve_general's class, with its residual and field."""
     peaks = [peaks_for(theta0, phi0, b), peaks_for(theta1, phi1, b)]
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", UserWarning)
-        free = solve_equidistant(peaks[0])
+    free = solve_equidistant(peaks[0])
     report = compare_orientations(*peaks, b_fixed=b)
     pairs = [(free, solve_general(peaks[0])),
              (report.before, solve_general(peaks[0], b_fixed=b)),

@@ -71,6 +71,27 @@ class TestSecularFrequency:
             secular_frequency(reference_trap(), reference_particle(charge_e=0.0))
 
 
+class TestDriveStiffness:
+    """The kernels take 2 Q kappa / m from one checked helper."""
+
+    def test_zero_charge_is_untrapped_in_both_kernels(self):
+        p = reference_particle(charge_e=0.0)
+        with pytest.raises(UntrappedParticleError):
+            integrate_motion(reference_trap(), p, t_end=1e-4, dt=1e-6)
+        with pytest.raises(UntrappedParticleError):
+            frequency_ramp_instability(reference_trap(), p, TWO_PI * 3100.0,
+                                       TWO_PI * 2800.0, TWO_PI * 5000.0)
+
+    def test_overflowing_stiffness_is_named(self):
+        # a mass of 4.6e-316 kg leaves 2 Q kappa / m beyond the float range
+        p = Particle.sphere(diameter=9.6e-6, density=1e-300, total_charge=-5000 * E_CHARGE)
+        for kernel in (lambda: integrate_motion(reference_trap(), p, t_end=1e-4, dt=1e-6),
+                       lambda: frequency_ramp_instability(reference_trap(), p, TWO_PI * 3100.0,
+                                                          TWO_PI * 2800.0, TWO_PI * 5000.0)):
+            with pytest.raises(ValueError, match="drive stiffness 2 Q kappa / m = -inf"):
+                kernel()
+
+
 class TestMathieuQ:
     def test_reference_value(self):
         assert mathieu_q(reference_trap(), reference_particle()) == pytest.approx(
