@@ -23,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import CONSTANTS, nv_axes
-from .errors import SolverError
+from .errors import PhysicsError, SolverError
 
 _MAX_GRID_POINTS = 10 ** 7  # points of one frequency grid
 # cells per broadened line: each 8192-point pass of the broadening holds a few
@@ -126,10 +126,25 @@ class ZeemanShifts:
     dip_frequencies_hz: np.ndarray
 
 
+def _check_linear_zeeman(b_gauss: float, max_shift_hz: float):
+    """Raise PhysicsError unless the lowest line D - max shift stays above
+    0 Hz, where the linear Zeeman model of this module ends: 1025 G along a
+    cube axis, about 592 G along a defect axis."""
+    low = CONSTANTS.zero_field_splitting_hz - max_shift_hz
+    if not low > 0.0:
+        limit = CONSTANTS.zero_field_splitting_hz / (max_shift_hz / b_gauss)
+        raise PhysicsError(f"a {b_gauss:g} G field puts the lowest line at {low:.6g} Hz; "
+                           f"the linear Zeeman model holds below {limit:.6g} G in this "
+                           "direction")
+
+
 def zeeman_shifts(field: FieldOrientation) -> ZeemanShifts:
-    """Resonance shifts of the four axis families for a static field."""
+    """Resonance shifts of the four axis families for a static field.
+
+    Raises PhysicsError for a field that takes a line to or below 0 Hz."""
     proj = nv_axes() @ field.unit_vector()
     shifts = CONSTANTS.gamma_e_hz_per_gauss * field.b_gauss * proj
+    _check_linear_zeeman(field.b_gauss, float(np.max(np.abs(shifts))))
     d = CONSTANTS.zero_field_splitting_hz
     dips = np.sort(np.concatenate([d - np.abs(shifts), d + np.abs(shifts)]))
     for arr in (proj, shifts, dips):
@@ -210,12 +225,14 @@ def rotation_broadened_spectrum(field: FieldOrientation, rotation_axis,
     sweep distribution (cell masses integrate the arcsine density exactly, so
     the dip area is preserved); a Lorentzian is placed at each cell's mass
     centroid.  A zero sweep range reduces a line to the static Lorentzian
-    exactly.  Takes 1 to 2000 cells.
+    exactly.  Takes 1 to 2000 cells; raises PhysicsError for a field whose
+    sweep takes a line to or below 0 Hz.
     """
     if not 1 <= n_cells <= _MAX_CELLS:
         raise ValueError(f"n_cells must be between 1 and {_MAX_CELLS}")
     grid = np.asarray(grid_hz, dtype=float)
     centers, half_ranges = sweep_amplitudes(field, rotation_axis)
+    _check_linear_zeeman(field.b_gauss, float(np.max(np.abs(centers) + half_ranges)))
     d = CONSTANTS.zero_field_splitting_hz
     g = model.hwhm
     _check_total_contrast(8, model)

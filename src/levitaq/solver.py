@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import operator
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -29,7 +30,7 @@ from scipy.optimize import least_squares  # noqa: F401
 
 from .core import CONSTANTS, nv_axes
 from .errors import SolverError
-from .esr import FieldOrientation, Spectrum
+from .esr import Spectrum
 
 _EXTREMAL_MATCH_TOLERANCE = 0.02  # relative change of the outermost shift
 _SPACING_TOLERANCE = 0.05  # of the mean spacing, for the equidistant pattern
@@ -126,10 +127,14 @@ def detect_peaks(spectrum: Spectrum, min_depth: float, min_separation: float) ->
 
 # the 48 signed permutations of the crystal-frame coordinates, each as the
 # indices into (x, -x, y, -y, z, -z) of the permuted vector's x, y and z
-_SIGNED_PERMUTATIONS = [tuple(2 * axis + negated for axis, negated in zip(perm, negations))
-                        for perm in itertools.permutations(range(3))
-                        for negations in itertools.product((0, 1), repeat=3)]
-_AZIMUTH_PAIRS = sorted({(ix, iy) for ix, iy, _ in _SIGNED_PERMUTATIONS})  # 24
+_SIGNED_PERMUTATIONS = tuple(tuple(2 * axis + negated for axis, negated in zip(perm, negations))
+                             for perm in itertools.permutations(range(3))
+                             for negations in itertools.product((0, 1), repeat=3))
+_AZIMUTH_PAIRS = tuple(sorted({(ix, iy) for ix, iy, _ in _SIGNED_PERMUTATIONS}))  # 24
+# per signed permutation, in that order: its index into _AZIMUTH_PAIRS and its z index
+_MEMBER_INDICES = tuple((_AZIMUTH_PAIRS.index((ix, iy)), iz)
+                        for ix, iy, iz in _SIGNED_PERMUTATIONS)
+_ROUNDING_REACH = 2e-7  # twice the spacing of the 7-digit keys
 
 
 def _spherical_angles(bhat: np.ndarray) -> tuple[float, float]:
@@ -139,6 +144,19 @@ def _spherical_angles(bhat: np.ndarray) -> tuple[float, float]:
     return math.atan2(float(bhat[1]), float(bhat[0])) % (2.0 * math.pi), phi
 
 
+def _keyed(values: list[float], others: tuple[float, ...] = ()) -> list[tuple[float, float, float]]:
+    """Each value with its dedupe and sort keys: ``round(v, 9)`` and
+    ``round(v, 7)`` when another value, or one of ``others``, lies within
+    _ROUNDING_REACH of it, and the value itself otherwise.  A value more than
+    that from every other rounds to a 7-digit key no other value reaches, so
+    its own value dedupes and sorts it exactly as the rounded keys would."""
+    ordered = sorted([*values, *others])
+    near = {v for lo, hi in zip(ordered, ordered[1:]) if hi - lo <= _ROUNDING_REACH
+            for v in (lo, hi)}
+    rounded = {v: (v, round(v, 9), round(v, 7)) for v in near}  # once per distinct value
+    return [rounded.get(v) or (v, v, v) for v in values]
+
+
 def _orientation_class(theta: float, phi: float) -> tuple[list[tuple[float, float]], bool]:
     """All (theta, phi) giving an identical dip set, via the signed coordinate
     permutations of the crystal frame, each of which preserves the set of
@@ -146,28 +164,30 @@ def _orientation_class(theta: float, phi: float) -> tuple[list[tuple[float, floa
 
     A member's angles are ``_spherical_angles`` of the permuted vector: its
     polar angle depends on its z alone (6 values) and its azimuth on its
-    (x, y) pair (24 values), so each is computed, and rounded, once."""
-    x, y, z = FieldOrientation(b_gauss=1.0, theta=theta, phi=phi).unit_vector().tolist()
+    (x, y) pair (24 values), so each is computed once, in plain floats from
+    the products ``FieldOrientation.unit_vector`` forms.  Members are
+    deduplicated on their angles at 9 digits and ordered at 7, with rounding
+    applied only to values within 2e-7 of another of their kind (a pole
+    member's azimuth 0.0 counts among the azimuths); ties keep the order of
+    _SIGNED_PERMUTATIONS.  The azimuth is unconstrained, and the flag set,
+    when a member lies within 1e-9 of a pole."""
+    theta %= 2.0 * math.pi
+    sin_phi = math.sin(phi)
+    x, y, z = math.cos(theta) * sin_phi, math.sin(theta) * sin_phi, math.cos(phi)
     signed = (x, -x, y, -y, z, -z)
-    polar = []
-    for c in signed:
-        ph = math.acos(min(1.0, max(-1.0, c)))
-        sin_ph = math.sin(ph)
-        polar.append((ph, round(ph, 9), round(ph, 7), sin_ph < 1e-12, sin_ph < 1e-9))
-    azimuth = {}
-    for ix, iy in _AZIMUTH_PAIRS:
-        th = math.atan2(signed[iy], signed[ix]) % (2.0 * math.pi)
-        azimuth[ix, iy] = (th, round(th, 9), round(th, 7))
+    polar = list(map(math.acos, signed))  # |c| <= 1: products of sines and cosines
+    sines = [math.sin(ph) for ph in polar]
+    pole = [s < 1e-12 for s in sines]
+    azimuth = _keyed([math.atan2(signed[iy], signed[ix]) % (2.0 * math.pi)
+                      for ix, iy in _AZIMUTH_PAIRS], (0.0,) if any(pole) else ())
+    polar = _keyed(polar)
     members = {}
-    continuous = False
-    for ix, iy, iz in _SIGNED_PERMUTATIONS:
-        ph, ph9, ph7, pole, axial = polar[iz]
-        th, th9, th7 = (0.0, 0.0, 0.0) if pole else azimuth[ix, iy]
-        continuous |= axial
+    for ia, iz in _MEMBER_INDICES:
+        th, th9, th7 = (0.0, 0.0, 0.0) if pole[iz] else azimuth[ia]
+        ph, ph9, ph7 = polar[iz]
         members[th9, ph9] = ((th7, ph7), (th, ph))
-    # sort on rounded keys so numerical noise cannot scramble the order
-    out = sorted(members.values(), key=lambda m: m[0])
-    return [m for _, m in out], continuous
+    out = sorted(members.values(), key=operator.itemgetter(0))
+    return [m for _, m in out], any(s < 1e-9 for s in sines)
 
 
 def equidistant_inversion(omega1_hz: float, omega2_hz: float) -> tuple[float, float, float]:
@@ -196,17 +216,6 @@ def _shift_magnitudes(peaks: PeakList) -> np.ndarray:
     return np.sort(np.abs(peaks.frequencies - CONSTANTS.zero_field_splitting_hz))
 
 
-def _line_residuals(m_lines: np.ndarray, mags: np.ndarray) -> np.ndarray:
-    """Residuals (..., 8) of the eight ascending model lines, each axis
-    magnitude of ``mags`` (..., 4) twice, against ``m_lines`` (..., 8), the
-    observed shift magnitude assigned to each line.
-
-    Pairing in sorted order is the assignment-optimal matching for scalar
-    shifts; fewer than eight dips assign each dip a run of consecutive lines.
-    """
-    return np.sort(np.repeat(mags, 2, axis=-1), axis=-1) - m_lines
-
-
 def _cone_faces() -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """The plane vz = vx + vy cuts the domain 0 <= vx <= vy <= vz of v =
     gamma_e B B_hat into two cones; on each, v = rays @ w (w >= 0) has ascending
@@ -224,7 +233,20 @@ def _cone_faces() -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return tuple(np.array(part) for part in zip(*faces))
 
 
+def _split_runs(n: int) -> np.ndarray:
+    """(splits, 8): the dip each of the eight ascending lines takes, per split
+    of the lines among ``n`` dips.  Four dips are one per axis, two lines
+    each; any other count takes every split into consecutive runs."""
+    cuts = [(2, 4, 6)] if n == 4 else list(itertools.combinations(range(1, 8), n - 1))
+    return np.sum(np.arange(8)[:, None] >= np.array(cuts, dtype=int)[:, None, :], axis=-1)
+
+
 _FACE_RAYS, _FACE_MAGS, _FACE_PINV = _cone_faces()
+# each face's axis magnitudes repeated to the eight ascending lines, (faces, 8, 3)
+_FACE_LINES = np.repeat(_FACE_MAGS, 2, axis=1)
+_RUNS = {n: _split_runs(n) for n in range(1, 9)}
+for _table in (_FACE_RAYS, _FACE_MAGS, _FACE_PINV, _FACE_LINES, *_RUNS.values()):
+    _table.setflags(write=False)
 
 
 def _equidistant_shifts(peaks: PeakList) -> tuple[float, float] | None:
@@ -257,22 +279,27 @@ def solve_general(peaks: PeakList, residual_threshold_hz: float = 30e6,
     """Orientation fit: an exact least-squares solve, at free or at a fixed field.
 
     Dips become shift magnitudes |f - D|.  Each dip takes a run of
-    consecutive lines of the eight ascending model lines, and four dips are
-    one per axis; the cost is ``_line_residuals``.  Every split into runs is
-    fitted on every cone face (``_cone_faces``) with the weights clipped at
-    0, which the optimum's own face leaves exact, so the best fit is the
-    global optimum at free field.  At ``b_fixed`` every such candidate is
+    consecutive lines of the eight ascending model lines (the splits of
+    ``_RUNS``, built once), and four dips are one per axis; pairing in
+    sorted order is the assignment-optimal matching for scalar shifts.  The
+    cost is the squared difference of each line from its dip.  Every split
+    is fitted on every cone face (``_cone_faces``) with the weights clipped
+    at 0, which the optimum's own face leaves exact, so the best fit is the
+    global optimum at free field; with w >= 0 the face's lines
+    (``_FACE_LINES``, its axis magnitudes each taken twice) come out
+    ascending, so they need no sort.  At ``b_fixed`` every such candidate is
     scaled to that field and scored again: the eight unit-field lines have
     squared norm 8 in every direction, so a split's best direction is the
     same at every field, and the best scaled candidate is the global optimum
     at that field.  The residual is the rms over the eight lines.
 
-    On an equally spaced eight-dip pattern (``_equidistant_shifts``) the
-    reported class member is the one nearest the closed-form angles of
-    ``equidistant_inversion``, with ``method = "equidistant"``; otherwise it
-    is the member with smallest theta, then phi.  Raises for a ``b_fixed``
-    that is not finite and > 0, more than eight dips or a residual above
-    ``residual_threshold_hz``.
+    The degeneracy class is that of ``_orientation_class``.  On an equally
+    spaced eight-dip pattern (``_equidistant_shifts``) the reported member
+    is the one nearest the closed-form angles of ``equidistant_inversion``
+    (the largest cosine, in plain floats), with ``method = "equidistant"``;
+    otherwise it is the first member: smallest theta, then phi.  Raises
+    for a ``b_fixed`` that is not finite and > 0, more than eight dips or a
+    residual above ``residual_threshold_hz``.
     """
     if b_fixed is not None and not (0.0 < b_fixed < math.inf):
         raise ValueError(f"b_fixed must be finite and > 0, got {b_fixed:g}")
@@ -283,21 +310,21 @@ def solve_general(peaks: PeakList, residual_threshold_hz: float = 30e6,
         raise SolverError(f"{n} dips: the four defect axes give at most eight")
     m_obs = _shift_magnitudes(peaks)
 
-    cuts = [(2, 4, 6)] if n == 4 else list(itertools.combinations(range(1, 8), n - 1))
-    runs = np.sum(np.arange(8)[:, None] >= np.array(cuts, dtype=int)[:, None, :], axis=-1)
-    lines = m_obs[runs]  # (splits, 8): the observed magnitude of each line
+    lines = m_obs[_RUNS[n]]  # (splits, 8): the observed magnitude of each line
     w = np.maximum(np.einsum("fij,kj->kfi", _FACE_PINV, lines), 0.0)
-    mags = np.einsum("fij,kfj->kfi", _FACE_MAGS, w)
+    # (splits, faces, 8): with w >= 0 and column-sorted magnitudes, ascending
+    model = np.einsum("fij,kfj->kfi", _FACE_LINES, w)
     if b_fixed is not None:
         b = float(b_fixed)
         norms = np.linalg.norm(np.einsum("fij,kfj->kfi", _FACE_RAYS, w), axis=-1, keepdims=True)
-        # unit-field magnitudes; a candidate with v = 0 takes +z, all four of them 1
-        mags = (CONSTANTS.gamma_e_hz_per_gauss * b) * np.divide(
-            mags, norms, out=np.ones_like(mags), where=norms > 0.0)
-    costs = np.sum(_line_residuals(lines[:, None], mags) ** 2, axis=-1)
-    split, face = np.unravel_index(np.argmin(costs), costs.shape)
+        # unit-field lines; a candidate with v = 0 takes +z, all eight of them 1
+        model = (CONSTANTS.gamma_e_hz_per_gauss * b) * np.divide(
+            model, norms, out=np.ones_like(model), where=norms > 0.0)
+    d = model - lines[:, None]
+    costs = np.sum(d * d, -1)  # not einsum, which raises no overflow
+    split, face = divmod(int(np.argmin(costs)), costs.shape[1])
     v = _FACE_RAYS[face] @ w[split, face]
-    v_hz = float(np.linalg.norm(v))
+    v_hz = math.sqrt(v.dot(v))  # what np.linalg.norm computes for a 1-d vector
     theta, phi = _spherical_angles(v / v_hz) if v_hz > 0.0 else (0.0, 0.0)
     if b_fixed is None:
         b = v_hz / CONSTANTS.gamma_e_hz_per_gauss
@@ -312,9 +339,10 @@ def solve_general(peaks: PeakList, residual_threshold_hz: float = 30e6,
         method, (theta, phi) = "general", members[0]
     else:  # the member nearest the closed-form angles: the largest cosine
         theta0, phi0, _ = equidistant_inversion(*shifts)
-        t, p = np.array(members).T
-        cos = np.sin(p) * math.sin(phi0) * np.cos(t - theta0) + np.cos(p) * math.cos(phi0)
-        method, (theta, phi) = "equidistant", members[int(np.argmax(cos))]
+        sin0, cos0 = math.sin(phi0), math.cos(phi0)
+        cos = [math.sin(p) * sin0 * math.cos(t - theta0) + math.cos(p) * cos0
+               for t, p in members]
+        method, (theta, phi) = "equidistant", members[cos.index(max(cos))]
     return EsrSolution(theta=theta, phi=phi, b_gauss=b, residual_rms_hz=rms,
                        degeneracy_class=members, continuous_theta=continuous,
                        method=method)

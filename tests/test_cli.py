@@ -119,6 +119,36 @@ class TestPhysicsAndSolverExitCodes:
         assert len(err.strip().splitlines()) == 1
         assert "where the drive is still stable" in err and "at q = 0." in err
 
+    @pytest.mark.parametrize("argv, lowest_hz", [
+        (("esr-forward", "--b-gauss", "2000"), "-6.03822e+09"),
+        (("esr-forward", "--b-gauss", "1000"), "-1.58411e+09"),
+        (("esr-broadened", "--b-gauss", "2000"), "-6.82948e+09"),
+        (("esr-forward", "--b-gauss", "1030", "--theta-deg", "0", "--phi-deg", "0"),
+         "-1.4e+07"),
+    ])
+    def test_field_beyond_the_linear_zeeman_model_exits_2(self, tmp_path, capsys, argv,
+                                                          lowest_hz):
+        # a line at or below 0 Hz: the model's D - gamma_e B |x_i . B_hat| has no meaning
+        code, out, err = run_cli(capsys, *argv, "--grid-points", "2001",
+                                 "--out", str(tmp_path))
+        assert code == 2
+        assert out == ""
+        assert len(err.strip().splitlines()) == 1
+        assert err.startswith(f"physics error: a {argv[2]} G field puts the lowest line "
+                              f"at {lowest_hz} Hz; the linear Zeeman model holds below")
+
+    @pytest.mark.parametrize("argv", [
+        ("esr-forward", "--b-gauss", "1024", "--theta-deg", "0", "--phi-deg", "0"),  # < 1025 G
+        ("esr-forward", "--b-gauss", "591", "--theta-deg", "45",
+         "--phi-deg", "54.735610317245"),                     # along [111], < 591.78 G
+        ("esr-broadened", "--b-gauss", "591", "--n-cells", "20"),  # sweeps through [111]
+    ])
+    def test_field_just_inside_the_linear_zeeman_model_exits_0(self, tmp_path, capsys, argv):
+        code, out, err = run_cli(capsys, *argv, "--grid-points", "2001",
+                                 "--out", str(tmp_path))
+        assert code == 0, err
+        assert err == ""
+
     def test_flat_spectrum_solver_failure_exits_3(self, tmp_path, capsys):
         flat = tmp_path / "flat.csv"
         f = np.linspace(2.8e9, 2.9e9, 101)

@@ -10,7 +10,7 @@ import pytest
 import levitaq
 from levitaq import esr
 from levitaq.core import nv_axes
-from levitaq.errors import SolverError
+from levitaq.errors import PhysicsError, SolverError
 from levitaq.esr import (FieldOrientation, LineModel, Spectrum,
                          extremal_field_estimate, rotation_broadened_spectrum,
                          sweep_amplitudes, synth_spectrum, uniform_grid,
@@ -92,6 +92,18 @@ class TestZeemanShifts:
     def test_zero_azimuth_merges_pairs(self):
         zs = zeeman_shifts(FieldOrientation(b_gauss=50.0, theta=0.0, phi=PHI_REF))
         assert np.unique(np.round(zs.dip_frequencies_hz, 3)).size == 4
+
+    @pytest.mark.parametrize("theta, phi, limit_gauss", [
+        (0.0, 0.0, D_ZFS / 2.8e6),                                     # cube axis
+        (math.radians(45.0), math.acos(1.0 / math.sqrt(3.0)),
+         D_ZFS / (2.8e6 * math.sqrt(3.0))),                            # defect axis
+    ])
+    def test_lines_at_or_below_zero_frequency_rejected(self, theta, phi, limit_gauss):
+        inside = zeeman_shifts(FieldOrientation(b_gauss=0.999 * limit_gauss, theta=theta,
+                                                phi=phi))
+        assert inside.dip_frequencies_hz[0] > 0.0
+        with pytest.raises(PhysicsError, match="linear Zeeman model holds below"):
+            zeeman_shifts(FieldOrientation(b_gauss=1.001 * limit_gauss, theta=theta, phi=phi))
 
 
 class TestSynthSpectrum:
@@ -234,6 +246,15 @@ class TestRotationBroadening:
         area = np.trapezoid(1.0 - broad.values, grid)
         analytic = 8.0 * model.contrast_per_line * math.pi * model.hwhm
         assert area == pytest.approx(analytic, rel=0.01)
+
+    def test_sweep_through_zero_frequency_rejected(self):
+        # the sweep reaches the aligned projection sqrt(3): the limit is 591.8 G
+        grid = uniform_grid(-1e8, 2.0 * D_ZFS + 1e8, 2001)
+        field = lambda factor: FieldOrientation(
+            b_gauss=factor * D_ZFS / (GAMMA * math.sqrt(3.0)), theta=B111.theta, phi=B111.phi)
+        rotation_broadened_spectrum(field(0.999), AXIS_PERP, LineModel(), grid, n_cells=20)
+        with pytest.raises(PhysicsError, match="linear Zeeman model holds below"):
+            rotation_broadened_spectrum(field(1.001), AXIS_PERP, LineModel(), grid, n_cells=20)
 
     def test_cell_count_above_the_bound_rejected(self):
         grid = uniform_grid(D_ZFS - 180e6, D_ZFS + 180e6, 1501)

@@ -430,14 +430,98 @@ def _orientation_class_per_matrix(theta, phi):
     return out, continuous
 
 
-@settings(derandomize=True, max_examples=200, deadline=None)
-@given(theta=st.floats(0.0, 2.0 * math.pi, exclude_max=True),
-       phi=st.one_of(st.floats(0.0, math.pi), st.sampled_from([0.0, math.pi])))
+# azimuths and polar angles of the [100], [110] and [111] directions and of
+# (1, 2, 4), whose products hold every such direction: there members coincide,
+# or lie within reach of each other's rounding keys
+_SPECIAL_THETAS = [k * math.pi / 4.0 for k in range(8)] + [math.atan(2.0)]
+_SPECIAL_PHIS = [0.0, math.pi / 4.0, math.acos(1.0 / math.sqrt(3.0)), math.pi / 2.0,
+                 math.acos(-1.0 / math.sqrt(3.0)), 3.0 * math.pi / 4.0, math.pi,
+                 math.acos(4.0 / math.sqrt(21.0))]
+# 1e-13 from phi = 0 or pi puts a member within the 1e-12 of a pole where its
+# azimuth is fixed at 0.0
+_OFFSETS = st.sampled_from([0.0, 1e-13, -1e-13, 1e-9, -1e-9, 1e-8, -1e-8, 1e-7, -1e-7,
+                            1.5e-7, -2e-7, 3e-7, 1e-6, -1e-6])
+
+
+@settings(derandomize=True, max_examples=600, deadline=None)
+@given(theta=st.one_of(st.floats(0.0, 2.0 * math.pi, exclude_max=True),
+                       st.builds(lambda t, e: (t + e) % (2.0 * math.pi),
+                                 st.sampled_from(_SPECIAL_THETAS), _OFFSETS)),
+       phi=st.one_of(st.floats(0.0, math.pi), st.sampled_from([0.0, math.pi]),
+                     st.builds(lambda p, e: min(math.pi, max(0.0, p + e)),
+                               st.sampled_from(_SPECIAL_PHIS), _OFFSETS)))
 @example(theta=0.0, phi=0.0)
 @example(theta=math.pi, phi=math.pi)
 @example(theta=math.atan(2.0), phi=math.pi / 2.0)
+# v along (1, 2, 4): the azimuths of its (x, y) and (y, z) pairs coincide
+@example(theta=math.atan(2.0), phi=math.acos(4.0 / math.sqrt(21.0)))
 def test_orientation_class_matches_per_matrix_form(theta, phi):
     assert solver._orientation_class(theta, phi) == _orientation_class_per_matrix(theta, phi)
+
+
+def _solve_per_call(peaks, b_fixed=None):
+    """solve_general with its cost stage formed per call: cuts and runs from
+    the combinations, the model lines sorted from the repeated axis
+    magnitudes, np.unravel_index, np.linalg.norm, the per-matrix class and a
+    numpy naming of the equidistant member."""
+    n = len(peaks)
+    m_obs = np.sort(np.abs(peaks.frequencies - CONSTANTS.zero_field_splitting_hz))
+    cuts = [(2, 4, 6)] if n == 4 else list(itertools.combinations(range(1, 8), n - 1))
+    runs = np.sum(np.arange(8)[:, None] >= np.array(cuts, dtype=int)[:, None, :], axis=-1)
+    lines = m_obs[runs]
+    w = np.maximum(np.einsum("fij,kj->kfi", solver._FACE_PINV, lines), 0.0)
+    mags = np.einsum("fij,kfj->kfi", solver._FACE_MAGS, w)
+    if b_fixed is not None:
+        norms = np.linalg.norm(np.einsum("fij,kfj->kfi", solver._FACE_RAYS, w), axis=-1,
+                               keepdims=True)
+        mags = (CONSTANTS.gamma_e_hz_per_gauss * b_fixed) * np.divide(
+            mags, norms, out=np.ones_like(mags), where=norms > 0.0)
+    model = np.sort(np.repeat(mags, 2, axis=-1), axis=-1)
+    costs = np.sum((model - lines[:, None]) ** 2, axis=-1)
+    split, face = np.unravel_index(np.argmin(costs), costs.shape)
+    v = solver._FACE_RAYS[face] @ w[split, face]
+    v_hz = float(np.linalg.norm(v))
+    theta, phi = solver._spherical_angles(v / v_hz) if v_hz > 0.0 else (0.0, 0.0)
+    b = v_hz / CONSTANTS.gamma_e_hz_per_gauss if b_fixed is None else b_fixed
+    members, continuous = _orientation_class_per_matrix(theta, phi)
+    method, (theta, phi) = "general", members[0]
+    shifts = solver._equidistant_shifts(peaks)
+    if shifts is not None:
+        theta0, phi0, _ = equidistant_inversion(*shifts)
+        t, p = np.array(members).T
+        cos = np.sin(p) * math.sin(phi0) * np.cos(t - theta0) + np.cos(p) * math.cos(phi0)
+        method, (theta, phi) = "equidistant", members[int(np.argmax(cos))]
+    return theta, phi, b, math.sqrt(costs[split, face] / 8.0), members, continuous, method
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(theta=st.one_of(st.floats(0.0, 2.0 * math.pi, exclude_max=True),
+                       st.sampled_from(_SPECIAL_THETAS)),
+       phi=st.one_of(st.floats(0.0, math.pi), st.sampled_from(_SPECIAL_PHIS)),
+       b=st.floats(5.0, 150.0), n=st.integers(1, 8), merged=st.booleans(),
+       noise_hz=st.sampled_from([0.0, 1e3, 1e6, 5e6]), seed=st.integers(0, 2 ** 16),
+       scale=st.one_of(st.none(), st.floats(0.5, 1.5)))
+@example(theta=THETA_REF, phi=PHI_REF, b=B_REF, n=8, merged=False, noise_hz=0.0, seed=0,
+         scale=None)                                         # the equidistant pattern
+@example(theta=math.pi / 4.0, phi=math.acos(1.0 / math.sqrt(3.0)), b=45.0, n=8,
+         merged=True, noise_hz=0.0, seed=0, scale=1.0)       # [111]: two distinct dips
+def test_solve_matches_the_per_call_cost_stage(theta, phi, b, n, merged, noise_hz, seed,
+                                               scale):
+    """The tables built once at import give every field of the solution bit
+    for bit as the cost stage formed per call, at free and at fixed field,
+    on 1-8 dips and on the distinct dips of merged lines."""
+    rng = np.random.default_rng(seed)
+    dips = dips_for(theta, phi, b)
+    if merged:
+        dips = np.unique(np.round(dips, -3))
+    dips = np.sort(rng.choice(dips, size=min(n, dips.size), replace=False)
+                   + rng.normal(0.0, noise_hz, min(n, dips.size)))
+    peaks = PeakList(frequencies=dips, depths=np.full(dips.size, 0.03))
+    b_fixed = None if scale is None else scale * b
+    sol = solve_general(peaks, residual_threshold_hz=math.inf, b_fixed=b_fixed)
+    got = (sol.theta, sol.phi, sol.b_gauss, sol.residual_rms_hz, sol.degeneracy_class,
+           sol.continuous_theta, sol.method)
+    assert got == _solve_per_call(peaks, b_fixed)
 
 
 # ---- the exact orientation fit ------------------------------------------------
