@@ -17,21 +17,27 @@ as the stability oracle for the simulation-level operations.
 
 All three integrators here -- the Floquet monodromy, the trajectory and the
 frequency ramp -- solve a linear ODE with time-dependent stiffness, so they
-share one closed-form RK4 step: six entries, polynomials in the stiffness
-at the start, midpoint and end of the step, map (u, u') and a constant
-acceleration f at its start to (u, u') at its end.  The entries are kept as
-six arrays over the steps, so products of steps are elementwise over long
-contiguous arrays.  The end of one step is the start of the next, so n
-steps sample the stiffness at 2n + 1 half-step points.  Trajectories and
-ramps need the state after every step: a scan in chunks of _WIDTH steps
-gives it for a block of _BLOCK steps in work linear in the step count, and
-they check for escape per block.  The monodromy needs only the product of
-its steps, taken pairwise; the Mathieu coefficient is even, so it carries
-the two fundamental solutions over half a period only.
+share one closed-form RK4 step: six entries map (u, u') and a constant
+acceleration f at its start to (u, u') at its end.  Each entry is a
+polynomial of degree at most two in the stiffness at the start, midpoint
+and end of the step, so one coefficient table over the seven monomials of
+those three samples, built once per call, gives all entries of a block of
+steps as one matrix product; without a force the two affine entries are
+left out.  The entries are kept as arrays over the steps, so products of
+steps are elementwise over long contiguous arrays.  The end of one step is
+the start of the next, so n steps sample the stiffness at 2n + 1 half-step
+points.  Trajectories and ramps need the state after every step: a scan in
+chunks of _WIDTH steps gives it for a block of _BLOCK steps in work linear
+in the step count, and they check for escape per block.  The monodromy
+needs only the product of its steps, taken pairwise; the Mathieu
+coefficient is even, so it carries the two fundamental solutions over half
+a period only, and its drive cosines depend on the step count alone, so
+they are built once per count.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 import warnings
 from dataclasses import dataclass, replace
@@ -203,12 +209,18 @@ class FloquetResult:
     trace: float  # trace of the one-period monodromy matrix
 
 
-def _rk4_transfer(k0, kh, k1, gamma: float, h: float):
-    """Per-step RK4 transfer entries of u'' = -k(t) u - gamma u' + f.
+# The monomials (1, k0, kh, k1, k0 kh, k0 k1, kh k1) of the stiffness at the
+# start, midpoint and end of a step, over which every RK4 transfer entry is a
+# polynomial; _DEGREE holds their degrees in k.
+_DEGREE = np.array([0, 1, 1, 1, 2, 2, 2])
 
-    k0, kh and k1 hold the stiffness at the start, midpoint and end of each
-    step.  Returns the six entry arrays as rows ((m00, m01, m02),
-    (m10, m11, m12)): step i maps (u, u') at its start to
+
+def _rk4_table(gamma: float, h: float, forced: bool) -> np.ndarray:
+    """Coefficients of the RK4 transfer entries of u'' = -k(t) u - gamma u' + f
+    over the stiffness monomials, one row per entry.
+
+    The rows are m00, m01, m02, m10, m11, m12, or without ``forced`` the
+    homogeneous m00, m01, m10, m11: a step maps (u, u') at its start to
     u = m00 u + m01 u' + m02 f and u' = m10 u + m11 u' + m12 f at its end,
     for a constant acceleration f.  Composing the four RK4 stages
     symbolically leaves each entry a polynomial in (k0, kh, k1) of degree at
@@ -217,76 +229,139 @@ def _rk4_transfer(k0, kh, k1, gamma: float, h: float):
     g = gamma * h
     h2, h3, h4 = h * h, h ** 3, h ** 4
     drift = h * (1.0 - g / 2.0 + g * g / 6.0 - g ** 3 / 24.0)  # u' -> u and f -> u'
-    m00 = 1.0 + kh * (h2 * (g - 4.0) / 12.0) \
-        + k0 * (kh * (h4 / 24.0) - h2 * (g * g - 2.0 * g + 4.0) / 24.0)
-    m01 = drift + kh * (h3 * (g - 2.0) / 12.0)
-    m02 = h2 * (g * g - 4.0 * g + 12.0) / 24.0 - kh * (h4 / 24.0)
-    m10 = k0 * (h * (g ** 3 - 2.0 * g * g + 4.0 * g - 4.0) / 24.0
-                - kh * (h3 * (g - 2.0) / 24.0) - k1 * (g * h3 / 24.0)) \
-        + kh * (k1 * (h3 / 12.0) - h * (g * g - 4.0 * g + 8.0) / 12.0) - k1 * (h / 6.0)
-    m11 = (1.0 - g + g * g / 2.0 - g ** 3 / 6.0 + g ** 4 / 24.0) \
-        - k1 * (h2 * (g * g - 2.0 * g + 4.0) / 24.0) \
-        + kh * (k1 * (h4 / 24.0) - h2 * (g * g - 3.0 * g + 4.0) / 12.0)
-    m12 = drift + (kh + k1) * (h3 * (g - 2.0) / 24.0)
-    return (m00, m01, m02), (m10, m11, m12)
+    table = np.array([
+        [1.0, -h2 * (g * g - 2.0 * g + 4.0) / 24.0, h2 * (g - 4.0) / 12.0, 0.0,
+         h4 / 24.0, 0.0, 0.0],
+        [drift, 0.0, h3 * (g - 2.0) / 12.0, 0.0, 0.0, 0.0, 0.0],
+        [h2 * (g * g - 4.0 * g + 12.0) / 24.0, 0.0, -h4 / 24.0, 0.0, 0.0, 0.0, 0.0],
+        [0.0, h * (g ** 3 - 2.0 * g * g + 4.0 * g - 4.0) / 24.0,
+         -h * (g * g - 4.0 * g + 8.0) / 12.0, -h / 6.0,
+         -h3 * (g - 2.0) / 24.0, -g * h3 / 24.0, h3 / 12.0],
+        [1.0 - g + g * g / 2.0 - g ** 3 / 6.0 + g ** 4 / 24.0, 0.0,
+         -h2 * (g * g - 3.0 * g + 4.0) / 12.0, -h2 * (g * g - 2.0 * g + 4.0) / 24.0,
+         0.0, 0.0, h4 / 24.0],
+        [drift, 0.0, h3 * (g - 2.0) / 24.0, h3 * (g - 2.0) / 24.0, 0.0, 0.0, 0.0],
+    ])
+    return table if forced else table[[0, 1, 3, 4]]
 
 
-def _states(m, u0, v0, f=None) -> np.ndarray:
-    """(u, u') after every step of the transfer entries m, from (u0, v0).
+def _monomials(k0, kh, k1) -> np.ndarray:
+    """The stiffness monomials, stacked on a new first axis."""
+    m = np.empty((7,) + np.shape(k0))
+    m[1], m[2], m[3] = k0, kh, k1
+    return _fill_monomials(m)
 
-    m[r][c] holds entry (r, c) of the n step matrices, as _rk4_transfer
-    returns them (the affine column c = 2 is read only with f); u0, v0 and the
-    constant accelerations f (None: no forcing) are k columns that share
-    those steps.  Returns an (n, 2, k) array: u and u' after each step.  The
-    steps are cut into chunks of _WIDTH: one pass over the positions within
-    a chunk forms every chunk's prefix products, elementwise over the
-    chunks; the states entering the chunks come from the same scan over the
-    chunk totals; and one product applies each chunk's prefixes to its
-    entry state.
+
+def _fill_monomials(m: np.ndarray) -> np.ndarray:
+    """Fill in the monomials around rows 1, 2 and 3 of m, which hold k0, kh and k1."""
+    m[0] = 1.0
+    np.multiply(m[1], m[2], out=m[4])
+    np.multiply(m[1], m[3], out=m[5])
+    np.multiply(m[2], m[3], out=m[6])
+    return m
+
+
+def _rk4_transfer(k0, kh, k1, gamma: float, h: float, forced: bool = True) -> np.ndarray:
+    """Per-step RK4 transfer entries of u'' = -k(t) u - gamma u' + f.
+
+    k0, kh and k1 hold the stiffness at the start, midpoint and end of each
+    step.  Returns the entries as a (2, 3) + k0.shape array, rows (u, u'),
+    columns (u, u', f), as _rk4_table orders them; without ``forced`` the
+    affine column is left out, (2, 2) + k0.shape.
+    """
+    m = _monomials(k0, kh, k1)
+    entries = _rk4_table(gamma, h, forced) @ m.reshape(7, -1)
+    return entries.reshape((2, -1) + m.shape[1:])
+
+
+def _scan_shapes(n: int, cols: int, k: int):
+    """Shapes of _scan's buffers for n steps, cols matrix columns and k state columns."""
+    chunks = -(-n // _WIDTH)
+    # the prefix products (position within the chunk, row, column, chunk), one
+    # step of their scan, and the (u, u', f) entering each chunk
+    return (_WIDTH, 2, cols, chunks), (2, 2, cols, chunks), (cols, k, chunks)
+
+
+def _scan_size(n: int, cols: int, k: int) -> int:
+    """Floats that _scan's buffers take for n steps, its scan of the chunk totals included."""
+    chunks = -(-n // _WIDTH)
+    size = sum(math.prod(shape) for shape in _scan_shapes(n, cols, k))
+    return size + (_scan_size(chunks - 1, cols, k) if chunks > 1 else 0)
+
+
+def _scan(m, u0, v0, f=None, work=None):
+    """Prefix products of the step matrices m within chunks of _WIDTH steps,
+    and the states entering the chunks, from (u0, v0).
+
+    m is the (2, cols, n) array of the n step matrices' entries, as
+    _rk4_transfer returns them (the affine column c = 2 is read only with
+    f); u0, v0 and the constant accelerations f (None: no forcing) are k
+    columns that share those steps.  Returns p, axes (position within the
+    chunk, row, column, chunk), whose position j holds the product of the
+    chunk's steps 0 .. j (identity steps pad the last chunk), and the
+    (cols, k, chunk) (u, u', f) entering each chunk.  Both are views into
+    ``work``, a buffer of at least _scan_size(n, cols, k) floats (allocated
+    when None).  One pass over the positions forms every chunk's prefix
+    products, elementwise over the chunks; the states entering the chunks
+    come from the same scan over the chunk totals.
     """
     cols = 2 if f is None else 3  # the affine column carries f
-    n = len(m[0][0])
-    chunks = -(-n // _WIDTH)
+    n, k = m.shape[-1], len(u0)
+    if work is None:
+        work = np.empty(_scan_size(n, cols, k))
+    views, at = [], 0
+    for shape in _scan_shapes(n, cols, k):
+        views.append(work[at:at + math.prod(shape)].reshape(shape))
+        at += math.prod(shape)
+    p, prod, entry = views
+    chunks = p.shape[-1]
     full, rest = divmod(n, _WIDTH)
-    # axes: position within the chunk, matrix row, matrix column, chunk
-    p = np.empty((_WIDTH, 2, cols, chunks))
     in_order = p.transpose(1, 2, 3, 0)  # rows, columns, then the steps in order
-    for r in range(2):
-        for c in range(cols):
-            in_order[r, c, :full] = m[r][c][:full * _WIDTH].reshape(full, _WIDTH)
-            in_order[r, c, full:, :rest] = m[r][c][full * _WIDTH:]
+    in_order[:, :, :full] = m[:, :cols, :full * _WIDTH].reshape(2, cols, full, _WIDTH)
     if rest:  # identity steps fill the last chunk, so no uninitialized value enters a product
+        in_order[:, :, -1, :rest] = m[:, :cols, full * _WIDTH:]
         p[rest:, :, :, -1] = np.eye(2, cols)
-    prod = np.empty((2, 2, cols, chunks))
     for j in range(1, _WIDTH):
         np.multiply(p[j, :, :2, None], p[j - 1, None], out=prod)
         if f is not None:
             prod[:, 0, 2] += p[j, :, 2]
         np.add(prod[:, 0], prod[:, 1], out=p[j])
 
-    entry = np.empty((cols, len(u0), chunks))  # (u, u', f) entering each chunk
     entry[0, :, 0], entry[1, :, 0] = u0, v0
     if f is not None:
         entry[2] = f[:, None]
-    if chunks > 1:
-        states = _states(p[-1, :, :, :-1], u0, v0, f)  # after each chunk but the last
-        entry[:2, :, 1:] = states.transpose(1, 2, 0)
+    if chunks > 1:  # the states after each chunk but the last
+        entry[:2, :, 1:] = _states(p[-1, :, :, :-1], u0, v0, f, work[at:]).transpose(1, 2, 0)
+    return p, entry
+
+
+def _states(m, u0, v0, f=None, work=None) -> np.ndarray:
+    """(u, u') after every step of the transfer entries m, from (u0, v0):
+    an (n, 2, k) array; the arguments are _scan's.  One product applies
+    each chunk's prefixes to its entry state."""
+    p, entry = _scan(m, u0, v0, f, work)
     states = np.einsum("jrsc,skc->cjrk", p, entry)  # chunk, position, row, column
-    return states.reshape(chunks * _WIDTH, 2, len(u0))[:n]
+    return states.reshape(-1, 2, len(u0))[:m.shape[-1]]
 
 
 def _product(m) -> np.ndarray:
     """The 2x2 product of a power-of-two count of step matrices, the last on
-    the left, multiplied pairwise.
+    the left, multiplied pairwise; m is the (2, 2, n) array of their entries."""
+    while m.shape[-1] > 1:
+        prod = m[:, :, None, 1::2] * m[None, :, :, 0::2]  # each later step times the one before
+        m = prod[:, 0] + prod[:, 1]
+    return m[..., 0]
 
-    m[r][c] holds entry (r, c) of the step matrices; the affine column is
-    not read.
-    """
-    a = np.stack([row[:2] for row in m])  # rows, columns, step
-    while a.shape[-1] > 1:
-        prod = a[:, :, None, 1::2] * a[None, :, :, 0::2]  # each later step times the one before
-        a = prod[:, 0] + prod[:, 1]
-    return a[..., 0]
+
+@functools.lru_cache(maxsize=16)  # at most 16 blocks of 2 _BLOCK + 1 floats, 4.2 MB
+def _drive_cosines(n: int, k: int) -> np.ndarray:
+    """cos 2 tau at the ends and midpoints of steps k .. k + _BLOCK of the n
+    steps per period pi (read-only; the monodromy reuses it for every (a, q))."""
+    h = math.pi / n
+    tau = np.arange(2 * k, 2 * min(k + _BLOCK, n // 2) + 1) * (0.5 * h)
+    cos = np.cos(2.0 * tau)
+    cos.setflags(write=False)
+    return cos
 
 
 def floquet_stability(a: float, q: float) -> FloquetResult:
@@ -303,12 +378,11 @@ def floquet_stability(a: float, q: float) -> FloquetResult:
         raise ValueError("a and q must be finite")
 
     def trace_for(n: int) -> float:
-        h = math.pi / n
         basis = np.eye(2)  # columns: the two fundamental solutions
         for k in range(0, n // 2, _BLOCK):
-            tau = np.arange(2 * k, 2 * min(k + _BLOCK, n // 2) + 1) * (0.5 * h)
-            c = a - 2.0 * q * np.cos(2.0 * tau)  # at the step ends and midpoints
-            basis = _product(_rk4_transfer(c[0:-1:2], c[1::2], c[2::2], 0.0, h)) @ basis
+            c = a - 2.0 * q * _drive_cosines(n, k)  # at the step ends and midpoints
+            basis = _product(_rk4_transfer(c[0:-1:2], c[1::2], c[2::2], 0.0, math.pi / n,
+                                           forced=False)) @ basis
         (y1, y2), (dy1, dy2) = basis
         return float(2.0 * (y1 * dy2 + dy1 * y2))
 
@@ -328,28 +402,53 @@ def floquet_stability(a: float, q: float) -> FloquetResult:
 
 def find_stability_boundary(a: float = 0.0, q_min: float = 0.0, q_max: float = 1.5,
                             tol: float = 1e-4) -> float:
-    """Locate the single stable->unstable transition in q over (q_min, q_max) by bisection.
+    """Locate the single stable->unstable transition in q over (q_min, q_max).
 
-    Bisects until the bracket is at most ``tol`` wide, or one ulp wide when
-    ``tol`` is below the floating-point resolution of q.
+    A bracketed root search on the monodromy's continuous |trace| - 2, which
+    is <= 0 where the motion is stable.  Beyond the edge |trace| grows
+    exponentially, so the steps interpolate sign(f) log(1 + |f|) of it,
+    f = |trace| - 2: Illinois steps (regula falsi that halves the value at
+    an end held for two steps in a row), and a bisection in place of a step
+    that would leave the bracket or whenever the bracket is over half as
+    wide as two steps before.  Returns the midpoint of a bracket at most ``tol`` wide that
+    holds the transition, or of two adjacent floats when ``tol`` is below
+    the floating-point resolution of q.
     """
     if not (q_max > q_min >= 0.0):
         raise ValueError("need q_max > q_min >= 0")
     if not (tol > 0.0):
         raise ValueError("tol must be > 0")
+
+    def excess(q: float) -> float:
+        f = abs(floquet_stability(a, q).trace) - 2.0
+        return math.copysign(math.log1p(abs(f)), f)
+
     lo, hi = q_min, q_max
-    if not floquet_stability(a, lo if lo > 0.0 else 1e-6).stable:
+    f_lo, f_hi = excess(lo if lo > 0.0 else 1e-6), excess(hi)
+    if f_lo > 0.0:
         raise PhysicsError("lower end of the scan range is already unstable")
-    if floquet_stability(a, hi).stable:
+    if f_hi <= 0.0:
         raise PhysicsError("upper end of the scan range is still stable")
+    widths = [math.inf, math.inf]  # the bracket's width two steps and one step before
+    moved = 0  # the end that the last step moved: -1 lo, 1 hi
     while hi - lo > tol:
-        mid = 0.5 * (lo + hi)
-        if not lo < mid < hi:  # adjacent floats: the bracket cannot shrink
-            break
-        if floquet_stability(a, mid).stable:
-            lo = mid
+        q = hi - f_hi * (hi - lo) / (f_hi - f_lo)
+        if not lo < q < hi or hi - lo > 0.5 * widths[0]:
+            q = 0.5 * (lo + hi)
+            if not lo < q < hi:  # adjacent floats: the bracket cannot shrink
+                break
+        widths = [widths[1], hi - lo]
+        f = excess(q)
+        if f <= 0.0:
+            lo, f_lo = q, f
+            if moved == -1:  # hi held twice
+                f_hi *= 0.5
+            moved = -1
         else:
-            hi = mid
+            hi, f_hi = q, f
+            if moved == 1:  # lo held twice
+                f_lo *= 0.5
+            moved = 1
     return 0.5 * (lo + hi)
 
 
@@ -400,6 +499,11 @@ def integrate_motion(trap: TrapConfig, p: Particle,
 
     accel = None if forces is None else \
         np.asarray(forces, dtype=float).reshape(-1, 3).sum(axis=0) / particle_mass(p)
+    # the z stiffness is k = cd cos(Omega t), the radial x and y share -k/2, and
+    # an entry's monomial of degree d scales by (-1/2)^d: one monomial array
+    # gives the radial and the axial entries
+    table = _rk4_table(trap.damping_gamma, dt, forced=accel is not None)
+    tables = np.concatenate([table * (-0.5) ** _DEGREE, table])
     # axes: sample, (position, velocity), (x, y, z); a sample every store_every
     # steps, at the last step and at an escape
     steps = np.zeros(1 + -(-n_steps // store_every), dtype=np.int64)
@@ -410,30 +514,30 @@ def integrate_motion(trap: TrapConfig, p: Particle,
 
     for k in range(0, n_steps, _BLOCK):
         n = min(_BLOCK, n_steps - k)
-        # the z stiffness at the step ends and midpoints; x and y share the radial -c/2
+        # the z stiffness at the step ends and midpoints
         c = cd * np.cos(om * (np.arange(2 * k, 2 * (k + n) + 1) * (0.5 * dt)))
-        parts = []
-        for scale, cols in ((-0.5, slice(0, 2)), (1.0, slice(2, 3))):
-            transfer = _rk4_transfer(scale * c[0:-1:2], scale * c[1::2], scale * c[2::2],
-                                     trap.damping_gamma, dt)
-            with np.errstate(over="ignore", invalid="ignore"):  # only kept states must be finite
-                parts.append(_states(transfer, *state[:, cols],
-                                     None if accel is None else accel[cols]))
-        block = np.concatenate(parts, axis=2)
-        step = np.arange(k + 1, k + 1 + n)
-        keep = (step % store_every == 0) | (step == n_steps)
-        out = np.flatnonzero(np.any(np.abs(block[:, 0]) > esc, axis=1))
-        if out.size:  # store the samples up to the first escaping step, and that step
-            escape_step = int(step[out[0]])
-            keep[out[0]] = True
-            keep[out[0] + 1:] = False
-        kept = block[keep]
-        if not np.all(np.isfinite(kept)):
+        radial, axial = (tables @ _monomials(c[0:-1:2], c[1::2], c[2::2])).reshape(2, 2, -1, n)
+        with np.errstate(over="ignore", invalid="ignore"):  # only kept states must be finite
+            block = np.concatenate(
+                [_states(m, *state[:, cols], None if accel is None else accel[cols])
+                 for m, cols in ((radial, slice(0, 2)), (axial, slice(2, 3)))], axis=2)
+        # block row i is step k + 1 + i; store the steps on the store_every grid
+        # before the block's last step or the first escaping one, then that step
+        # if it is on the grid, the run's last step or an escape
+        out = np.flatnonzero(np.abs(block[:, 0]).ravel() > esc)
+        last = n - 1 if out.size == 0 else int(out[0]) // 3
+        first = -(k + 1) % store_every
+        start = stored
+        stored += len(range(first, last, store_every))
+        steps[start:stored] = np.arange(k + 1 + first, k + 1 + last, store_every)
+        states[start:stored] = block[first:last:store_every]
+        if out.size or k + n == n_steps or (k + 1 + last) % store_every == 0:
+            steps[stored], states[stored] = k + 1 + last, block[last]
+            stored += 1
+        if not np.all(np.isfinite(states[start:stored])):
             raise FloatingPointError("the motion overflowed before it crossed the escape radius")
-        steps[stored:stored + len(kept)] = step[keep]
-        states[stored:stored + len(kept)] = kept
-        stored += len(kept)
-        if escape_step is not None:
+        if out.size:
+            escape_step = k + 1 + last
             break
         state = block[-1].copy()  # a copy, so that the block is freed
 
@@ -489,25 +593,57 @@ def frequency_ramp_instability(trap: TrapConfig, p: Particle,
 
     state = np.array([[seed_displacement], [0.0]])  # rows (u, u'), one column
     n_steps = math.ceil(steps)
+    table = _rk4_table(trap.damping_gamma, dt, forced=False)
+    # every block fills the same buffers: the step count within the block, then
+    # for the block's steps and the next, dt j and the drive phase at their
+    # starts, a scratch array, the monomials, the entries and the scan's
+    count = np.arange(_BLOCK + 1.0)
+    dtj, phase, tmp = np.empty((3, _BLOCK + 1))
+    mono, entries = np.empty(7 * _BLOCK), np.empty(4 * _BLOCK)
+    work = np.empty(_scan_size(_BLOCK, 2, 1))
 
     for k in range(0, n_steps, _BLOCK):
-        j = np.arange(k, min(k + _BLOCK, n_steps) + 1)  # the block's steps and the next
+        n = min(_BLOCK, n_steps - k)
         # left-sum drive phase accumulated over steps 0 .. j-1, the phase at the
-        # start of step j; the end of step j is the start of step j + 1
-        phase = dt * j * (omega_start - ramp_rate * dt * (j - 1) / 2.0)
-        mid = phase[:-1] + 0.5 * dt * (omega_start - ramp_rate * (j[:-1] * dt))
-        k_ends, k_mid = k_acc * np.cos(phase), k_acc * np.cos(mid)
-        transfer = _rk4_transfer(k_ends[:-1], k_mid, k_ends[1:], trap.damping_gamma, dt)
-        states = _states(transfer, state[0], state[1])
-        out = np.flatnonzero(np.abs(states[:, 0, 0]) > esc)
-        if out.size:
-            omega = float(omega_start - ramp_rate * ((j[out[0]] + 1) * dt))
+        # start of step j, dt j (omega_start - ramp_rate dt (j - 1) / 2); the end
+        # of step j is the start of step j + 1
+        np.add(count[:n + 1], k, out=dtj[:n + 1])
+        dtj[:n + 1] *= dt
+        np.add(count[:n + 1], k - 1.0, out=tmp[:n + 1])
+        tmp[:n + 1] *= ramp_rate * dt
+        tmp[:n + 1] /= 2.0
+        np.subtract(omega_start, tmp[:n + 1], out=tmp[:n + 1])
+        np.multiply(dtj[:n + 1], tmp[:n + 1], out=phase[:n + 1])
+        # the midpoint adds dt / 2 (omega_start - ramp_rate dt j)
+        np.multiply(dtj[:n], ramp_rate, out=tmp[:n])
+        np.subtract(omega_start, tmp[:n], out=tmp[:n])
+        tmp[:n] *= 0.5 * dt
+        tmp[:n] += phase[:n]
+        # the stiffness at the starts, the midpoints and the ends, written to
+        # rows k0, kh and k1 of the monomials
+        m = mono[:7 * n].reshape(7, n)
+        np.cos(phase[:n + 1], out=phase[:n + 1])
+        np.multiply(phase[:n], k_acc, out=m[1])
+        np.multiply(phase[1:n + 1], k_acc, out=m[3])
+        np.cos(tmp[:n], out=m[2])
+        m[2] *= k_acc
+        transfer = np.matmul(table, _fill_monomials(m), out=entries[:4 * n].reshape(4, n))
+        prefix, entry = _scan(transfer.reshape(2, 2, n), state[0], state[1], work=work)
+        # |u| after every step, axes (position, chunk), into the free buffers;
+        # the identity steps that pad the last chunk repeat its last state
+        shape = prefix.shape[0], prefix.shape[-1]
+        u = np.multiply(prefix[:, 0, 0], entry[0, 0], out=dtj[:math.prod(shape)].reshape(shape))
+        u += np.multiply(prefix[:, 0, 1], entry[1, 0], out=tmp[:u.size].reshape(shape))
+        if np.abs(u, out=u).max() > esc:
+            first = np.flatnonzero(u.T > esc)[0]  # in step order
+            omega = float(omega_start - ramp_rate * ((k + first + 1) * dt))
             q = mathieu_q(replace(trap, drive_freq=omega), p)
             if floquet_stability(0.0, q).stable:  # carried out by the seed, not the drive
                 raise PhysicsError(f"the motion crossed the escape radius at q = {q:.4g}, "
                                    f"where the drive is still stable")
             return omega
-        state = states[-1]
+        chunk, position = divmod(n - 1, _WIDTH)
+        state = prefix[position, :, :, chunk] @ entry[:, :, chunk]
 
     raise PhysicsError("stable over full ramp: no instability detected")
 

@@ -170,6 +170,40 @@ class TestFloquet:
             assert q_edge == pytest.approx(0.9080463, abs=1e-7)
         assert find_stability_boundary(a, 0.0, 1.5, 1e-4) == pytest.approx(q_edge, abs=1e-4)
 
+    @staticmethod
+    def record_calls(monkeypatch):
+        """(q, stable) of every floquet_stability call that the module makes."""
+        calls = []
+
+        def recorded(a, q):
+            res = floquet_stability(a, q)
+            calls.append((q, res.stable))
+            return res
+
+        monkeypatch.setattr(trap_module, "floquet_stability", recorded)
+        return calls
+
+    @pytest.mark.parametrize("a", np.linspace(0.0, 0.6, 13))
+    def test_boundary_search_brackets_the_edge_in_few_calls(self, monkeypatch, a):
+        # bisection took 2 + 14 calls at this tol
+        calls = self.record_calls(monkeypatch)
+        tol = 1e-4
+        boundary = find_stability_boundary(a, 0.0, 1.5, tol)
+        assert len(calls) <= 12
+        lo = max(q for q, stable in calls if stable)
+        hi = min(q for q, stable in calls if not stable)
+        # the midpoint of a bracket at most tol wide, stable below and unstable above
+        assert 0.0 < hi - lo <= tol
+        assert boundary == 0.5 * (lo + hi)
+
+    def test_boundary_search_below_float_resolution_ends_at_adjacent_floats(self, monkeypatch):
+        calls = self.record_calls(monkeypatch)
+        boundary = find_stability_boundary(0.0, 0.5, 1.2, tol=1e-300)
+        lo = max(q for q, stable in calls if stable)
+        hi = min(q for q, stable in calls if not stable)
+        assert hi == np.nextafter(lo, np.inf)
+        assert boundary == 0.5 * (lo + hi)
+
     def test_stability_flag_matches_mathieu_edges(self):
         # first stability region a0(q) < a < b1(q); the next edge, a1(q), lies above
         # every a on this grid
@@ -464,6 +498,17 @@ class TestPropagatorOracle:
         assert om == om_ref
 
 
+def test_motion_stores_the_last_step_off_the_sample_grid():
+    # 2 _BLOCK + 13 steps with a sample every 5: the last step is not on the grid
+    n_steps, dt = 2 * trap_module._BLOCK + 13, 1e-6
+    assert n_steps % 5 != 0
+    traj = TestPropagatorOracle().assert_motion_matches(
+        reference_trap(gamma=300.0), reference_particle(), t_end=n_steps * dt, dt=dt,
+        x0=(1e-6, -2e-6, 3e-6), forces=[(1e-15, 0.0, 2e-15)], store_every=5)
+    assert traj.t[-1] == n_steps * dt
+    assert traj.t.size == 2 + n_steps // 5
+
+
 WIDTH = trap_module._WIDTH
 
 
@@ -527,6 +572,17 @@ def test_closed_form_transfer_matches_stage_composition(gamma, batch, h, scale):
     ref = np.moveaxis(ref[..., :2, :], (-2, -1), (0, 1))  # the six entries of rows u and u'
     assert out.shape == ref.shape == (2, 3, 64) + batch
     assert np.abs(out - ref).max() <= 4.0 * np.finfo(float).eps * np.abs(ref).max()
+
+
+@pytest.mark.parametrize("gamma", [0.0, 300.0])
+@pytest.mark.parametrize("batch", [(), (2,)])
+@pytest.mark.parametrize("h,scale", [(1e-6, 1e9), (math.pi / 1024, 3.0)])
+def test_unforced_entries_are_the_forced_homogeneous_entries(gamma, batch, h, scale):
+    k0, kh, k1 = scale * np.random.default_rng(8).standard_normal((3, 64) + batch)
+    forced = trap_module._rk4_transfer(k0, kh, k1, gamma, h)
+    unforced = trap_module._rk4_transfer(k0, kh, k1, gamma, h, forced=False)
+    assert unforced.shape == (2, 2, 64) + batch
+    np.testing.assert_array_equal(unforced, forced[:, :2])
 
 
 def full_period_trace(a, q):
