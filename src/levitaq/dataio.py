@@ -10,6 +10,7 @@ is then renamed onto the target, so a failed write leaves the old file as it was
 
 from __future__ import annotations
 
+import array
 import itertools
 import math
 import os
@@ -29,28 +30,45 @@ TRAJECTORY_HEADER = "t,x,y,z,vx,vy,vz"
 ANGLE_HEADER = "t,alpha,alpha_dot"
 SPECTRUM_HEADER = "frequency_hz,contrast"
 _FLOAT = "%.17g"
+_BLOCK = 4096  # lines formatted and written at a time
 
 
 def _write_text(path, lines) -> None:
     """Write ``lines`` as newline-terminated text into a temporary file beside
-    ``path`` and rename it onto ``path``; on any failure remove it again."""
+    ``path`` and rename it onto ``path``; on any failure remove it again.
+    The text goes out in blocks of _BLOCK lines, and no lines at all make one
+    empty line."""
     path = Path(path)
     tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
     fh = open(tmp, "w")
     try:
         with fh:
-            fh.write("\n".join(lines) + "\n")
+            lines = iter(lines)
+            block = list(itertools.islice(lines, _BLOCK))
+            while True:
+                fh.write("\n".join(block) + "\n")
+                if not (block := list(itertools.islice(lines, _BLOCK))):
+                    break
         os.replace(tmp, path)
     except BaseException:
         tmp.unlink()
         raise
 
 
+def _row_lines(template: str, columns):
+    """Each row of the columns formatted by ``template``, converted to Python
+    floats one block of _BLOCK rows at a time."""
+    n = min((c.shape[0] for c in columns), default=0)
+    for start in range(0, n, _BLOCK):
+        rows = zip(*(c[start:start + _BLOCK].tolist() for c in columns))
+        yield from (template % row for row in rows)
+
+
 def write_rows(path, header: str, columns) -> None:
     """Write equal-length float columns as CSV rows, each formatted by one template."""
+    columns = [np.asarray(c) for c in columns]
     template = ",".join([_FLOAT] * len(columns))
-    rows = zip(*(np.asarray(c).tolist() for c in columns))
-    _write_text(path, itertools.chain([header], (template % row for row in rows)))
+    _write_text(path, itertools.chain([header], _row_lines(template, columns)))
 
 
 def _text(value) -> str:
@@ -112,33 +130,41 @@ def ingest_spectrum(path) -> Spectrum:
     path = Path(path)
     if not path.is_file():
         raise ConfigError(f"spectrum file not found: {path}")
-    raw = path.read_text().strip().splitlines()
-    if not raw or raw[0].strip() != SPECTRUM_HEADER:
+    freqs, vals = array.array("d"), array.array("d")
+    header = False
+    unordered = None  # the line of the first frequency not above the one before
+    with open(path) as fh:
+        for line_no, line in enumerate(fh, start=1):
+            line = line.strip()
+            if not line:
+                continue
+            if not header:
+                if line != SPECTRUM_HEADER:
+                    break
+                header = True
+                continue
+            parts = line.split(",")
+            if len(parts) != 2:
+                raise ConfigError(f"{path}: line {line_no}: expected two comma-separated values")
+            try:
+                f, v = float(parts[0]), float(parts[1])
+            except ValueError:
+                raise ConfigError(f"{path}: line {line_no}: non-numeric value") from None
+            if not (0.0 < v <= 1.05):
+                raise ConfigError(f"{path}: line {line_no}: contrast {v:g} outside (0, 1.05]")
+            if unordered is None and freqs and not f > freqs[-1]:
+                unordered = line_no
+            freqs.append(f)
+            vals.append(v)
+    if not header:
         raise ConfigError(f"{path}: first line must be the header '{SPECTRUM_HEADER}'")
-    freqs, vals = [], []
-    for row_no, line in enumerate(raw[1:], start=2):
-        line = line.strip()
-        if not line:
-            continue
-        parts = line.split(",")
-        if len(parts) != 2:
-            raise ConfigError(f"{path}: line {row_no}: expected two comma-separated values")
-        try:
-            f, v = float(parts[0]), float(parts[1])
-        except ValueError:
-            raise ConfigError(f"{path}: line {row_no}: non-numeric value") from None
-        if not (0.0 < v <= 1.05):
-            raise ConfigError(f"{path}: line {row_no}: contrast {v:g} outside (0, 1.05]")
-        freqs.append(f)
-        vals.append(v)
     if len(freqs) < 2:
         raise ConfigError(f"{path}: need at least two data rows")
-    f = np.array(freqs)
-    v = np.array(vals)
+    if unordered is not None:
+        raise ConfigError(f"{path}: line {unordered}: frequencies must be strictly ascending")
+    f = np.frombuffer(freqs)
+    v = np.frombuffer(vals)
     df = np.diff(f)
-    if not np.all(df > 0.0):
-        bad = int(np.flatnonzero(df <= 0.0)[0]) + 3  # header + 1-based + offset
-        raise ConfigError(f"{path}: line {bad}: frequencies must be strictly ascending")
     if not uniform_steps(df):
         warnings.warn(f"{path}: non-uniform frequency grid; resampling to uniform",
                       stacklevel=2)

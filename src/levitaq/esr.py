@@ -26,9 +26,10 @@ from .core import CONSTANTS, nv_axes
 from .errors import PhysicsError, SolverError
 
 _MAX_GRID_POINTS = 10 ** 7  # points of one frequency grid
-# cells per broadened line: each 8192-point pass of the broadening holds a few
-# n_cells x 8192 float arrays, 131 MB each at the bound
+# cells per broadened line: the time of a broadening grows with n_cells, its
+# memory does not (one pass buffer of _PASS_FLOATS floats, 2 MB)
 _MAX_CELLS = 2000
+_PASS_FLOATS = 2 ** 18
 
 
 @dataclass(frozen=True)
@@ -244,7 +245,9 @@ def rotation_broadened_spectrum(field: FieldOrientation, rotation_axis,
 
     values = np.ones_like(grid)
     g2 = g * g
-    chunk = 8192
+    # each pass fills one (n_cells, chunk) block of Lorentzian terms in place
+    chunk = _PASS_FLOATS // n_cells
+    buf = np.empty(n_cells * chunk)
     for c0, dmax in zip(line_centers, line_ranges):
         if dmax <= 1e-9:
             values -= model.contrast_per_line * g2 / ((grid - c0) ** 2 + g2)
@@ -253,8 +256,12 @@ def rotation_broadened_spectrum(field: FieldOrientation, rotation_axis,
         w = model.contrast_per_line / n_cells
         for start in range(0, grid.size, chunk):
             sl = slice(start, min(start + chunk, grid.size))
-            diff = grid[sl][None, :] - offsets[:, None]
-            values[sl] -= w * np.sum(g2 / (diff * diff + g2), axis=0)
+            terms = buf[:n_cells * (sl.stop - start)].reshape(n_cells, -1)
+            np.subtract(grid[sl], offsets[:, None], out=terms)
+            np.multiply(terms, terms, out=terms)
+            terms += g2
+            np.divide(g2, terms, out=terms)
+            values[sl] -= w * np.sum(terms, axis=0)
     values = np.clip(values, 1e-9, 1.05)
     return Spectrum(frequencies=grid, values=values)
 

@@ -48,7 +48,7 @@ class PeakList:
         d = np.asarray(self.depths, dtype=float)
         if f.shape != d.shape or f.ndim != 1:
             raise ValueError("frequencies and depths must be equal-length 1-d arrays")
-        if f.size > 1 and not np.all(np.diff(f) >= 0.0):
+        if not (f[1:] >= f[:-1]).all():
             raise ValueError("frequencies must be sorted ascending")
         f.setflags(write=False)
         d.setflags(write=False)
@@ -90,35 +90,45 @@ def detect_peaks(spectrum: Spectrum, min_depth: float, min_separation: float) ->
     if not (min_separation > 0.0):
         raise ValueError("min_separation must be > 0")
     f = spectrum.frequencies
-    u = 1.0 - spectrum.values  # depth: near 0 off the dips, so the running sum stays small
+    values = spectrum.values
     df = spectrum.grid_step
 
     window = max(1, int(round(min_separation / 4.0 / df)))
-    if window > u.size:  # the edge padding alone would allocate window points
+    if window > values.size:  # the edge padding alone would allocate window points
         raise ValueError(f"min_separation {min_separation:g} Hz gives a smoothing window of "
-                         f"{window} points, longer than the {u.size}-point spectrum")
+                         f"{window} points, longer than the {values.size}-point spectrum")
     if window > 1:  # box average from a running sum, O(size) for any window
+        # one buffer: a leading 0, the depth 1 - value (near 0 off the dips, so
+        # the running sum stays small) and its edge values repeated as padding
         pad = window // 2
-        total = np.cumsum(np.concatenate(
-            [[0.0], np.full(pad, u[0]), u, np.full(window - 1 - pad, u[-1])]))
-        u = (total[window:] - total[:-window]) / window
+        total = np.empty(values.size + window)
+        total[0] = 0.0
+        np.subtract(1.0, values, out=total[1 + pad:1 + pad + values.size])
+        total[1:1 + pad] = total[1 + pad]
+        total[1 + pad + values.size:] = total[pad + values.size]
+        np.cumsum(total, out=total)
+        u = total[window:] - total[:-window]
+        u /= window
+    else:
+        u = 1.0 - values
 
-    # leftmost point of any flat maximum plateau of the depth; the threshold
-    # 1 - (1 - min_depth) makes the test on an unsmoothed depth exactly the
-    # value test v < 1 - min_depth
-    mid = u[1:-1]
-    floor = 1.0 - (1.0 - min_depth)
-    idx = np.flatnonzero((mid > u[:-2]) & (mid >= u[2:]) & (mid > floor)) + 1
+    # leftmost point of any flat maximum plateau of the depth: a rise into the
+    # point and none out of it; the threshold 1 - (1 - min_depth) makes the
+    # test on an unsmoothed depth exactly the value test v < 1 - min_depth
+    rising = u[1:] > u[:-1]
+    idx = np.flatnonzero(rising[:-1] > rising[1:]) + 1
+    idx = idx[u[idx] > 1.0 - (1.0 - min_depth)]
     if not idx.size:
         raise SolverError("no dips above depth threshold")
 
     freqs = f[idx].tolist()
     depths = u[idx].tolist()
     while len(freqs) > 1:
-        gaps = np.diff(freqs)
-        j = int(np.argmin(gaps))
-        if gaps[j] >= min_separation:
+        gaps = [hi - lo for lo, hi in zip(freqs, freqs[1:])]
+        least = min(gaps)
+        if least >= min_separation:
             break
+        j = gaps.index(least)  # the first index of the least gap, as np.argmin's
         drop = j if depths[j] < depths[j + 1] else j + 1
         del freqs[drop], depths[drop]
 
@@ -134,10 +144,14 @@ _AZIMUTH_PAIRS = tuple(sorted({(ix, iy) for ix, iy, _ in _SIGNED_PERMUTATIONS}))
 # per signed permutation, in that order: its index into _AZIMUTH_PAIRS and its z index
 _MEMBER_INDICES = tuple((_AZIMUTH_PAIRS.index((ix, iy)), iz)
                         for ix, iy, iz in _SIGNED_PERMUTATIONS)
+# the 48 members' azimuths and polar angles from the 24 and the 6 values
+_MEMBER_AZIMUTHS = operator.itemgetter(*(ia for ia, _ in _MEMBER_INDICES))
+_MEMBER_POLARS = operator.itemgetter(*(iz for _, iz in _MEMBER_INDICES))
 _ROUNDING_REACH = 2e-7  # twice the spacing of the 7-digit keys
 
 
-def _spherical_angles(bhat: np.ndarray) -> tuple[float, float]:
+def _spherical_angles(bhat) -> tuple[float, float]:
+    """(theta, phi) of the unit vector ``bhat``, any sequence of three floats."""
     phi = math.acos(min(1.0, max(-1.0, float(bhat[2]))))
     if math.sin(phi) < 1e-12:
         return 0.0, phi
@@ -153,8 +167,27 @@ def _keyed(values: list[float], others: tuple[float, ...] = ()) -> list[tuple[fl
     ordered = sorted([*values, *others])
     near = {v for lo, hi in zip(ordered, ordered[1:]) if hi - lo <= _ROUNDING_REACH
             for v in (lo, hi)}
-    rounded = {v: (v, round(v, 9), round(v, 7)) for v in near}  # once per distinct value
+    rounded = {v: _decimal_keys(v) for v in near}  # once per distinct value
     return [rounded.get(v) or (v, v, v) for v in values]
+
+
+def _decimal_keys(v: float) -> tuple[float, float, float]:
+    """``(v, round(v, 9), round(v, 7))`` for 0 <= v < 7, without round()'s
+    decimal string.  v * 10**d lies within half an ulp (under 1e-6) of the
+    exact product, so unless it falls within 1e-3 of a half integer, its
+    nearest integer k is the exact product's, the digits round() keeps; and
+    k / 10**d is the double nearest k * 10**-d, as round()'s conversion of
+    those digits back to a double is.  Near a half integer it calls round()."""
+    y9, y7 = v * 1e9, v * 1e7
+    k9, k7 = round(y9), round(y7)
+    return (v, k9 / 1e9 if abs(y9 - k9) < 0.499 else round(v, 9),
+            k7 / 1e7 if abs(y7 - k7) < 0.499 else round(v, 7))
+
+
+def _spread(values: list[float]) -> bool:
+    """Whether no two of ``values`` lie within _ROUNDING_REACH of each other."""
+    ordered = sorted(values)
+    return all(hi - lo > _ROUNDING_REACH for lo, hi in zip(ordered, ordered[1:]))
 
 
 def _orientation_class(theta: float, phi: float) -> tuple[list[tuple[float, float]], bool]:
@@ -169,17 +202,24 @@ def _orientation_class(theta: float, phi: float) -> tuple[list[tuple[float, floa
     deduplicated on their angles at 9 digits and ordered at 7, with rounding
     applied only to values within 2e-7 of another of their kind (a pole
     member's azimuth 0.0 counts among the azimuths); ties keep the order of
-    _SIGNED_PERMUTATIONS.  The azimuth is unconstrained, and the flag set,
-    when a member lies within 1e-9 of a pole."""
+    _SIGNED_PERMUTATIONS.  With no member at a pole and every azimuth and
+    every polar angle more than 2e-7 from the others of its kind, no key
+    rounds and the 48 members differ, so the class is one sort of the pairs.
+    The azimuth is unconstrained, and the flag set, when a member lies within
+    1e-9 of a pole."""
     theta %= 2.0 * math.pi
     sin_phi = math.sin(phi)
     x, y, z = math.cos(theta) * sin_phi, math.sin(theta) * sin_phi, math.cos(phi)
     signed = (x, -x, y, -y, z, -z)
     polar = list(map(math.acos, signed))  # |c| <= 1: products of sines and cosines
     sines = [math.sin(ph) for ph in polar]
+    continuous = any(s < 1e-9 for s in sines)
     pole = [s < 1e-12 for s in sines]
-    azimuth = _keyed([math.atan2(signed[iy], signed[ix]) % (2.0 * math.pi)
-                      for ix, iy in _AZIMUTH_PAIRS], (0.0,) if any(pole) else ())
+    azimuth = [math.atan2(signed[iy], signed[ix]) % (2.0 * math.pi)
+               for ix, iy in _AZIMUTH_PAIRS]
+    if not any(pole) and _spread(azimuth) and _spread(polar):
+        return sorted(zip(_MEMBER_AZIMUTHS(azimuth), _MEMBER_POLARS(polar))), continuous
+    azimuth = _keyed(azimuth, (0.0,) if any(pole) else ())
     polar = _keyed(polar)
     members = {}
     for ia, iz in _MEMBER_INDICES:
@@ -187,7 +227,7 @@ def _orientation_class(theta: float, phi: float) -> tuple[list[tuple[float, floa
         ph, ph9, ph7 = polar[iz]
         members[th9, ph9] = ((th7, ph7), (th, ph))
     out = sorted(members.values(), key=operator.itemgetter(0))
-    return [m for _, m in out], any(s < 1e-9 for s in sines)
+    return [m for _, m in out], continuous
 
 
 def equidistant_inversion(omega1_hz: float, omega2_hz: float) -> tuple[float, float, float]:
@@ -311,21 +351,25 @@ def solve_general(peaks: PeakList, residual_threshold_hz: float = 30e6,
     m_obs = _shift_magnitudes(peaks)
 
     lines = m_obs[_RUNS[n]]  # (splits, 8): the observed magnitude of each line
-    w = np.maximum(np.einsum("fij,kj->kfi", _FACE_PINV, lines), 0.0)
+    w = np.einsum("fij,kj->kfi", _FACE_PINV, lines)
+    np.maximum(w, 0.0, out=w)
     # (splits, faces, 8): with w >= 0 and column-sorted magnitudes, ascending
     model = np.einsum("fij,kfj->kfi", _FACE_LINES, w)
     if b_fixed is not None:
         b = float(b_fixed)
-        norms = np.linalg.norm(np.einsum("fij,kfj->kfi", _FACE_RAYS, w), axis=-1, keepdims=True)
+        vecs = np.einsum("fij,kfj->kfi", _FACE_RAYS, w)
+        norms = np.sqrt((vecs * vecs).sum(-1, keepdims=True))  # what np.linalg.norm computes
         # unit-field lines; a candidate with v = 0 takes +z, all eight of them 1
         model = (CONSTANTS.gamma_e_hz_per_gauss * b) * np.divide(
             model, norms, out=np.ones_like(model), where=norms > 0.0)
     d = model - lines[:, None]
-    costs = np.sum(d * d, -1)  # not einsum, which raises no overflow
-    split, face = divmod(int(np.argmin(costs)), costs.shape[1])
+    d *= d  # not einsum, which raises no overflow
+    costs = d.sum(-1)
+    split, face = divmod(int(costs.argmin()), costs.shape[1])
     v = _FACE_RAYS[face] @ w[split, face]
     v_hz = math.sqrt(v.dot(v))  # what np.linalg.norm computes for a 1-d vector
-    theta, phi = _spherical_angles(v / v_hz) if v_hz > 0.0 else (0.0, 0.0)
+    theta, phi = (_spherical_angles([c / v_hz for c in v.tolist()]) if v_hz > 0.0
+                  else (0.0, 0.0))
     if b_fixed is None:
         b = v_hz / CONSTANTS.gamma_e_hz_per_gauss
     rms = math.sqrt(costs[split, face] / 8.0)
@@ -372,10 +416,11 @@ def compare_orientations(before: PeakList, after: PeakList, b_fixed: float) -> R
     """
     sols = [solve_general(peaks, b_fixed=b_fixed) for peaks in (before, after)]
     d = CONSTANTS.zero_field_splitting_hz
-    ext_before = float(np.max(np.abs(before.frequencies - d)))
-    ext_after = float(np.max(np.abs(after.frequencies - d)))
-    pos_before = int(np.sum(before.frequencies > d))
-    pos_after = int(np.sum(after.frequencies > d))
+    f_before, f_after = before.frequencies.tolist(), after.frequencies.tolist()
+    ext_before = max(abs(f - d) for f in f_before)
+    ext_after = max(abs(f - d) for f in f_after)
+    pos_before = sum(f > d for f in f_before)
+    pos_after = sum(f > d for f in f_after)
     return RotationReport(
         before=sols[0],
         after=sols[1],

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from levitaq import dataio
 from levitaq.dataio import (ingest_spectrum, read_key_values, solution_lines,
                             write_angle_trajectory, write_key_values, write_rotation_report,
                             write_rows, write_solution, write_spectrum, write_trajectory)
@@ -55,6 +56,30 @@ class TestSpectrumRoundTrip:
         p = tmp_path / "nan.csv"
         p.write_text("frequency_hz,contrast\n1.0,abc\n")
         with pytest.raises(ConfigError, match="non-numeric"):
+            ingest_spectrum(p)
+
+    def test_non_numeric_value_names_the_files_own_line(self, tmp_path):
+        p = tmp_path / "blank_lead.csv"
+        p.write_text("\n\nfrequency_hz,contrast\n1.0,0.5\n2.0,abc\n")
+        with pytest.raises(ConfigError, match="line 5: non-numeric value"):
+            ingest_spectrum(p)
+
+    def test_unordered_frequency_names_the_files_own_line(self, tmp_path):
+        p = tmp_path / "blank_inside.csv"
+        p.write_text("frequency_hz,contrast\n1.0,0.5\n\n3.0,0.5\n2.0,0.5\n")
+        with pytest.raises(ConfigError, match="line 5: frequencies must be strictly ascending"):
+            ingest_spectrum(p)
+
+    def test_nan_frequency_rejected_naming_its_line(self, tmp_path):
+        p = tmp_path / "nan_freq.csv"
+        p.write_text("frequency_hz,contrast\n1.0,0.5\nnan,0.5\n3.0,0.5\n")
+        with pytest.raises(ConfigError, match="line 3: frequencies must be strictly ascending"):
+            ingest_spectrum(p)
+
+    def test_format_errors_take_precedence_over_order(self, tmp_path):
+        p = tmp_path / "both.csv"
+        p.write_text("frequency_hz,contrast\n2.0,0.5\n1.0,0.5\n3.0,x\n")
+        with pytest.raises(ConfigError, match="line 4: non-numeric value"):
             ingest_spectrum(p)
 
     def test_non_uniform_grid_resampled_with_warning(self, tmp_path):
@@ -162,3 +187,21 @@ class TestTextWriters:
             write_rows(path, "a,b", [[5.0, 6.0], [7.0, "not a number"]])
         assert path.read_bytes() == before
         assert [p.name for p in tmp_path.iterdir()] == ["rows.csv"]
+
+    @pytest.mark.parametrize("rows", [0, 1, dataio._BLOCK - 1, dataio._BLOCK,
+                                      dataio._BLOCK + 1, 2 * dataio._BLOCK + 1])
+    def test_rows_written_in_blocks_equal_one_join(self, tmp_path, rows):
+        rng = np.random.default_rng(rows)
+        columns = [rng.normal(size=rows), rng.uniform(size=rows) * 1e9, np.arange(rows) * 0.1]
+        path = tmp_path / "rows.csv"
+        write_rows(path, "a,b,c", columns)
+        lines = ["a,b,c"] + ["%.17g,%.17g,%.17g" % row
+                             for row in zip(*(c.tolist() for c in columns))]
+        assert path.read_bytes() == ("\n".join(lines) + "\n").encode()
+
+    @pytest.mark.parametrize("pairs", [0, 1, dataio._BLOCK, dataio._BLOCK + 1])
+    def test_key_values_written_in_blocks_equal_one_join(self, tmp_path, pairs):
+        path = tmp_path / "kv.txt"
+        write_key_values(path, [(f"k{i}", i * 0.5) for i in range(pairs)])
+        lines = [f"k{i} = {'%.17g' % (i * 0.5)}" for i in range(pairs)]
+        assert path.read_bytes() == ("\n".join(lines) + "\n").encode()

@@ -262,8 +262,34 @@ class TestRotationBroadening:
             rotation_broadened_spectrum(B111, AXIS_PERP, LineModel(), grid,
                                         n_cells=esr._MAX_CELLS + 1)
 
+    @pytest.mark.parametrize("n_cells, n_points, pass_floats", [
+        (1, 301, 2 ** 18), (3, 301, 2 ** 18), (7, 301, 64), (16, 203, 64), (40, 97, 200)])
+    def test_pass_buffer_equals_the_per_cell_sum(self, monkeypatch, n_cells, n_points,
+                                                 pass_floats):
+        """Each pass's terms sum over the cells in cell order, so with any pass
+        width (at least two points in the last pass) the spectrum equals the
+        per-cell sum bit for bit."""
+        monkeypatch.setattr(esr, "_PASS_FLOATS", pass_floats)
+        model = LineModel()
+        grid = uniform_grid(D_ZFS - 180e6, D_ZFS + 180e6, n_points)
+        broad = rotation_broadened_spectrum(B111, AXIS_PERP, model, grid, n_cells=n_cells)
+        centers, ranges = sweep_amplitudes(B111, AXIS_PERP)
+        g2 = model.hwhm * model.hwhm
+        values = np.ones_like(grid)
+        for c0, dmax in zip(np.concatenate([D_ZFS + centers, D_ZFS - centers]),
+                            np.concatenate([ranges, ranges])):
+            if dmax <= 1e-9:
+                values -= model.contrast_per_line * g2 / ((grid - c0) ** 2 + g2)
+                continue
+            total = np.zeros_like(grid)
+            for offset in c0 + esr._arcsine_cells(dmax, n_cells):
+                d = grid - offset
+                total += g2 / (d * d + g2)
+            values -= model.contrast_per_line / n_cells * total
+        assert np.array_equal(broad.values, np.clip(values, 1e-9, 1.05))
+
     def test_peak_memory_at_the_cell_bound_stays_under_1_gb(self):
-        # one full 8192-point pass at the bound, in a fresh interpreter
+        # a broadening at the cell bound, in a fresh interpreter
         code = ("import math, resource, numpy as np\n"
                 "from levitaq import esr\n"
                 "field = esr.FieldOrientation(b_gauss=20.0, theta=math.radians(45.0),"

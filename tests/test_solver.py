@@ -289,6 +289,55 @@ def test_detect_peaks_matches_a_convolution_smoother(theta, phi, b, n, hwhm, min
     np.testing.assert_allclose(peaks.depths, depths, rtol=0.0, atol=1e-12)
 
 
+def _detect_peaks_padded(spectrum, min_depth, min_separation):
+    """detect_peaks with the padding concatenated, the three-point extremum
+    test and the merge loop's least gap taken by np.argmin."""
+    u = 1.0 - spectrum.values
+    window = max(1, int(round(min_separation / 4.0 / spectrum.grid_step)))
+    if window > 1:
+        pad = window // 2
+        total = np.cumsum(np.concatenate(
+            [[0.0], np.full(pad, u[0]), u, np.full(window - 1 - pad, u[-1])]))
+        u = (total[window:] - total[:-window]) / window
+    mid = u[1:-1]
+    idx = np.flatnonzero((mid > u[:-2]) & (mid >= u[2:])
+                         & (mid > 1.0 - (1.0 - min_depth))) + 1
+    freqs, depths = spectrum.frequencies[idx].tolist(), u[idx].tolist()
+    while len(freqs) > 1:
+        gaps = np.diff(freqs)
+        j = int(np.argmin(gaps))
+        if gaps[j] >= min_separation:
+            break
+        drop = j if depths[j] < depths[j + 1] else j + 1
+        del freqs[drop], depths[drop]
+    return freqs, depths
+
+
+@settings(derandomize=True, max_examples=80, deadline=None)
+@given(theta=st.floats(0.0, 2.0 * math.pi, exclude_max=True), phi=st.floats(0.0, math.pi),
+       b=st.floats(5.0, 150.0), n=st.integers(4001, 40001), hwhm=st.floats(2e6, 12e6),
+       min_separation=st.floats(5e6, 40e6), noise=st.sampled_from([0.0, 1e-4, 1e-3]),
+       seed=st.integers(0, 2 ** 16))
+def test_detect_peaks_matches_the_padded_form(theta, phi, b, n, hwhm, min_separation, noise,
+                                              seed):
+    """The one-buffer running sum, the rise test and the plain-float merge
+    give the dips and depths of the padded form bit for bit, with and
+    without noise, and merge the same candidates."""
+    dips = dips_for(theta, phi, b)
+    grid = uniform_grid(dips[0] - 8.0 * hwhm, dips[-1] + 8.0 * hwhm, n)
+    values = synth_spectrum(dips, LineModel(hwhm=hwhm, contrast_per_line=0.03), grid).values
+    values = np.clip(values + np.random.default_rng(seed).normal(0.0, noise, n), 1e-9, 1.05)
+    spectrum = Spectrum(frequencies=grid, values=values)
+    freqs, depths = _detect_peaks_padded(spectrum, 0.01, min_separation)
+    if not freqs:
+        with pytest.raises(SolverError):
+            detect_peaks(spectrum, min_depth=0.01, min_separation=min_separation)
+        return
+    peaks = detect_peaks(spectrum, min_depth=0.01, min_separation=min_separation)
+    assert peaks.frequencies.tolist() == freqs
+    assert peaks.depths.tolist() == depths
+
+
 _LEVELS = [0.5, 0.9, 0.97, 0.98, 0.99, 1.0, 1.05]
 
 
@@ -318,6 +367,19 @@ def test_detect_peaks_matches_per_index_rule(values, min_depth):
     peaks = detect_peaks(spectrum, min_depth=min_depth, min_separation=df)
     assert peaks.frequencies.tolist() == [float(spectrum.frequencies[i]) for i in idx]
     assert peaks.depths.tolist() == [float(1.0 - v[i]) for i in idx]
+
+
+def test_dips_exactly_min_separation_apart_both_kept():
+    """The merge takes gaps below min_separation only: a gap equal to it,
+    exactly representable on the grid, keeps both dips; a grid step less
+    merges them into the deeper one."""
+    df = 1e5
+    v = np.array([1.0, 0.95, 0.9, 0.95, 0.97, 0.92, 1.0])
+    spectrum = Spectrum(frequencies=2.8e9 + df * np.arange(v.size), values=v)
+    kept = detect_peaks(spectrum, min_depth=0.03, min_separation=3.0 * df)
+    assert kept.frequencies.tolist() == [2.8e9 + 2.0 * df, 2.8e9 + 5.0 * df]
+    merged = detect_peaks(spectrum, min_depth=0.03, min_separation=3.0 * df + 1.0)
+    assert merged.frequencies.tolist() == [2.8e9 + 2.0 * df]
 
 
 def _distinct_peaks(theta, phi, b):
@@ -457,6 +519,101 @@ _OFFSETS = st.sampled_from([0.0, 1e-13, -1e-13, 1e-9, -1e-9, 1e-8, -1e-8, 1e-7, 
 @example(theta=math.atan(2.0), phi=math.acos(4.0 / math.sqrt(21.0)))
 def test_orientation_class_matches_per_matrix_form(theta, phi):
     assert solver._orientation_class(theta, phi) == _orientation_class_per_matrix(theta, phi)
+
+
+def _keyed_everywhere(values, others=()):
+    """Each value with its dedupe and sort keys, rounded at 9 and 7 digits by
+    round() when another value, or one of ``others``, lies within reach of it."""
+    ordered = sorted([*values, *others])
+    near = {v for lo, hi in zip(ordered, ordered[1:]) if hi - lo <= solver._ROUNDING_REACH
+            for v in (lo, hi)}
+    return [(v, round(v, 9), round(v, 7)) if v in near else (v, v, v) for v in values]
+
+
+def _orientation_class_keyed(theta, phi):
+    """_orientation_class with the rounding keys taken by round() and the
+    dedupe dict built on every input, including those where no key rounds and
+    all 48 members differ."""
+    theta %= 2.0 * math.pi
+    sin_phi = math.sin(phi)
+    x, y, z = math.cos(theta) * sin_phi, math.sin(theta) * sin_phi, math.cos(phi)
+    signed = (x, -x, y, -y, z, -z)
+    polar = [math.acos(c) for c in signed]
+    sines = [math.sin(p) for p in polar]
+    pole = [s < 1e-12 for s in sines]
+    azimuth = _keyed_everywhere([math.atan2(signed[iy], signed[ix]) % (2.0 * math.pi)
+                                 for ix, iy in solver._AZIMUTH_PAIRS],
+                                (0.0,) if any(pole) else ())
+    polar = _keyed_everywhere(polar)
+    members = {}
+    for ia, iz in solver._MEMBER_INDICES:
+        th, th9, th7 = (0.0, 0.0, 0.0) if pole[iz] else azimuth[ia]
+        ph, ph9, ph7 = polar[iz]
+        members[th9, ph9] = ((th7, ph7), (th, ph))
+    out = sorted(members.values(), key=lambda m: m[0])
+    return [m for _, m in out], any(s < 1e-9 for s in sines)
+
+
+def _half_digits(digits):
+    """Values whose product with 10**digits lies at or next to a half integer."""
+    k = st.integers(0, int(2.0 * math.pi * 10 ** digits) - 1)
+    return st.builds(lambda k, step: math.nextafter((k + 0.5) / 10 ** digits, math.inf * step)
+                     if step else (k + 0.5) / 10 ** digits, k, st.sampled_from([-1, 0, 1]))
+
+
+@settings(derandomize=True, max_examples=3000, deadline=None)
+@given(v=st.one_of(st.floats(0.0, 2.0 * math.pi), _half_digits(9), _half_digits(7),
+                   st.integers(0, 6433).map(lambda j: j / 1024.0)))
+@example(v=0.0)
+@example(v=math.pi / 4.0)
+def test_decimal_keys_equal_round(v):
+    """The keys from the scaled product are round()'s at 9 and 7 digits, at
+    and next to decimal half points and on dyadic values whose scaled
+    product is an exact half integer."""
+    assert solver._decimal_keys(v) == (v, round(v, 9), round(v, 7))
+
+
+def _angles_of(v):
+    return solver._spherical_angles(np.asarray(v, dtype=float) / np.linalg.norm(v))
+
+
+def _class_families(rng, n):
+    """(theta, phi) on the poles, the equator, the 45 degree planes x = +-y,
+    x = +-z and y = +-z, along [111] and at the README default, each taken
+    exactly and as the angles of a vector built in that family."""
+    thetas = rng.uniform(0.0, 2.0 * math.pi, n)
+    phis = rng.uniform(0.0, math.pi, n)
+    a, b = rng.normal(size=(2, n))
+    signs = rng.choice([-1.0, 1.0], size=(3, n))
+    poles = [(t, p) for t in thetas for p in (0.0, math.pi, 1e-13, math.pi - 1e-13, 1e-9)]
+    equator = [(t, math.pi / 2.0) for t in thetas]
+    equator += [_angles_of((math.cos(t), math.sin(t), 0.0)) for t in thetas]
+    planes = [(k * math.pi / 4.0, p) for k in (1, 3, 5, 7) for p in phis]
+    planes += [_angles_of(v) for i in range(n) for v in (
+        (a[i], signs[0, i] * a[i], b[i]), (a[i], b[i], signs[1, i] * a[i]),
+        (b[i], a[i], signs[2, i] * a[i]))]
+    axis111 = [_angles_of(s) for s in itertools.product((-1.0, 1.0), repeat=3)]
+    axis111 += [(k * math.pi / 4.0, p) for k in (1, 3, 5, 7)
+                for p in (math.acos(1.0 / math.sqrt(3.0)), math.acos(-1.0 / math.sqrt(3.0)))]
+    default = [(math.radians(63.434948822922), math.radians(35.226937177152)),
+               (THETA_REF, PHI_REF)]
+    solved = solve_general(CANONICAL_PEAKS)
+    default += [(solved.theta, solved.phi), *solved.degeneracy_class]
+    return poles + equator + planes + axis111 + default
+
+
+def test_orientation_class_matches_the_class_keyed_everywhere():
+    """Skipping the rounding keys and the dedupe dict where no key rounds
+    leaves every class, and its continuous flag, as building them does: on
+    seeded random angles and on the families where members coincide or lie
+    within reach of each other's keys."""
+    rng = np.random.default_rng(28)
+    angles = list(zip(rng.uniform(0.0, 2.0 * math.pi, 2000),
+                      np.arccos(rng.uniform(-1.0, 1.0, 2000))))
+    angles += _class_families(rng, 60)
+    for theta, phi in angles:
+        theta, phi = float(theta), float(phi)
+        assert solver._orientation_class(theta, phi) == _orientation_class_keyed(theta, phi)
 
 
 def _solve_per_call(peaks, b_fixed=None):
