@@ -134,7 +134,6 @@ KEYSPECS: dict[str, dict] = {
         "grid_min_hz": (0.0, float),
         "grid_max_hz": (0.0, float),
         "grid_points": (40001, int),
-        "n_cells": (400, int),
         "threshold": (0.0, float),     # 0 -> auto (half the maximum dip depth)
     },
     "esr-solve": {
@@ -323,10 +322,9 @@ def _run_esr_broadened(cfg: dict, run_dir: Path) -> str:
     axis = axis / norm
     centers, ranges = sweep_amplitudes(field, axis)
     d = CONSTANTS.zero_field_splitting_hz
-    lo = float(np.min(np.concatenate([centers - ranges, -centers - ranges])))
-    hi = float(np.max(np.concatenate([centers + ranges, -centers + ranges])))
-    grid = _auto_grid(cfg, d + lo - 8.0 * model.hwhm, d + hi + 8.0 * model.hwhm)
-    spectrum = rotation_broadened_spectrum(field, axis, model, grid, n_cells=cfg["n_cells"])
+    span = float(np.max(np.abs(centers) + ranges))
+    grid = _auto_grid(cfg, d - span - 8.0 * model.hwhm, d + span + 8.0 * model.hwhm)
+    spectrum = rotation_broadened_spectrum(field, axis, model, grid)
     dataio.write_spectrum(run_dir / "spectrum.csv", spectrum)
     depth_max = float(np.max(1.0 - spectrum.values))
     b_text = "nan"

@@ -141,7 +141,7 @@ class TestPhysicsAndSolverExitCodes:
         ("esr-forward", "--b-gauss", "1024", "--theta-deg", "0", "--phi-deg", "0"),  # < 1025 G
         ("esr-forward", "--b-gauss", "591", "--theta-deg", "45",
          "--phi-deg", "54.735610317245"),                     # along [111], < 591.78 G
-        ("esr-broadened", "--b-gauss", "591", "--n-cells", "20"),  # sweeps through [111]
+        ("esr-broadened", "--b-gauss", "591"),  # sweeps through [111]
     ])
     def test_field_just_inside_the_linear_zeeman_model_exits_0(self, tmp_path, capsys, argv):
         code, out, err = run_cli(capsys, *argv, "--grid-points", "2001",
@@ -187,7 +187,8 @@ class TestPhysicsAndSolverExitCodes:
         ("trap-sim", "--charge-e", "nan"),
         ("angular-sim", "--dt-s", "0"),
         ("radiation", "--seed", "0"),  # the key no longer exists
-        ("esr-broadened", "--n-cells", "0"),
+        ("esr-broadened", "--n-cells", "0"),  # nor this one, below and above
+        ("esr-broadened", "--n-cells", "2001"),  # its former bounds 1 and 2000
         # keys that changed no output and were removed
         ("trap-sim", "--xi-v-m2", "1e6"),
         ("ramp-infer", "--drive-frequency-hz", "5000"),
@@ -199,7 +200,6 @@ class TestPhysicsAndSolverExitCodes:
         # sizes far above the scan and grid bounds
         ("stability-scan", "--n-scan", "100000000"),
         ("esr-forward", "--grid-points", "1000000000"),
-        ("esr-broadened", "--n-cells", "2001"),
         # step counts far above the integrator bounds
         ("trap-sim", "--dt-s", "1e-300"),
         ("angular-sim", "--dt-s", "1e-300"),
@@ -269,8 +269,7 @@ class TestPhysicsAndSolverExitCodes:
     @pytest.mark.parametrize("x, y", [("1e300", "-0.7071067811865476"), ("1e-300", "0")])
     def test_rotation_axis_normalised_without_leaving_the_float_range(self, tmp_path, capsys,
                                                                       x, y):
-        common = ["esr-broadened", "--grid-points", "2001", "--n-cells", "20",
-                  "--out", str(tmp_path)]
+        common = ["esr-broadened", "--grid-points", "2001", "--out", str(tmp_path)]
         code, _, err = run_cli(capsys, *common, "--rot-axis-x", x, "--rot-axis-y", y)
         assert code == 0, err
         code, _, err = run_cli(capsys, *common, "--rot-axis-y", "0", "--name", "unit")
@@ -510,8 +509,7 @@ class TestAutoKeys:
 
     def test_broadened_spectrum_without_a_dip_has_no_field_estimate(self, tmp_path, capsys):
         code, out, err = run_cli(capsys, "esr-broadened", "--hwhm-hz", "1e-300",
-                                 "--grid-points", "2001", "--n-cells", "20",
-                                 "--out", str(tmp_path))
+                                 "--grid-points", "2001", "--out", str(tmp_path))
         assert code == 0, err
         assert "max_depth=0 " in out and "b_estimate_gauss=nan" in out
 
@@ -604,6 +602,23 @@ class TestRunDirectories:
         assert ((tmp_path / "replay" / "solution.txt").read_bytes()
                 == (tmp_path / "first" / "solution.txt").read_bytes())
 
+    @pytest.mark.parametrize("argv, named", [
+        (["--n-cells", "20"], "unrecognized arguments: --n-cells 20"),
+        (["--config", "<old resolved.cfg>"],
+         "unknown config key 'n_cells' for subcommand 'esr-broadened'"),
+    ])
+    def test_removed_cell_count_exits_1_with_one_line(self, tmp_path, capsys, argv, named):
+        # the closed-form broadening has no cells; a config written when it
+        # had them names the key
+        old = tmp_path / "resolved.cfg"
+        old.write_text("subcommand = esr-broadened\ngrid_points = 2001\nn_cells = 400\n")
+        argv = [str(old) if a == "<old resolved.cfg>" else a for a in argv]
+        code, out, err = run_cli(capsys, "esr-broadened", *argv, "--out", str(tmp_path))
+        assert code == 1
+        assert out == ""
+        assert err == f"error: {named}\n"
+        assert not (tmp_path / "esr-broadened").exists()
+
     def test_config_for_other_subcommand_exits_1(self, tmp_path, capsys):
         cfg = tmp_path / "r.cfg"
         cfg.write_text("subcommand = radiation\n")
@@ -630,7 +645,7 @@ _ARTIFACTS = {
     "radiation": ({"radiation.txt"}, []),
     "angular-sim": ({"angle.csv"}, ["--t-end-s", "1e-3"]),
     "esr-forward": ({"spectrum.csv", "dips.csv"}, ["--grid-points", "2001"]),
-    "esr-broadened": ({"spectrum.csv"}, ["--grid-points", "2001", "--n-cells", "20"]),
+    "esr-broadened": ({"spectrum.csv"}, ["--grid-points", "2001"]),
     "esr-solve": ({"solution.txt"}, []),
     "esr-compare": ({"report.txt"}, ["--b-gauss", "83.06930964009"]),
 }

@@ -35,8 +35,8 @@ SPECTRUM_POINTS = 4001
 
 # a small run of each subcommand: a 200-step trajectory, a three-point scan,
 # a ramp over 300 Hz at a fixed rate (33k steps) that the default particle
-# does not survive, a 200-step tilt run, 2001-point spectra with 20 cells per
-# broadened line, and fits of 4001-point spectra
+# does not survive, a 200-step tilt run, 2001-point spectra, and fits of
+# 4001-point spectra
 SMALL_RUN = {
     "trap-sim": {"t_end_s": 2e-4},
     "stability-scan": {"n_scan": 3},
@@ -45,7 +45,7 @@ SMALL_RUN = {
     "radiation": {},
     "angular-sim": {"t_end_s": 2e-4},
     "esr-forward": {"grid_points": 2001},
-    "esr-broadened": {"grid_points": 2001, "n_cells": 20},
+    "esr-broadened": {"grid_points": 2001},
     "esr-solve": {"input": BEFORE},
     "esr-compare": {"input_before": BEFORE, "input_after": AFTER, "b_gauss": 83.06930964009},
 }
