@@ -26,9 +26,14 @@ steps as one matrix product; without a force the two affine entries are
 left out.  The entries are kept as arrays over the steps, so products of
 steps are elementwise over long contiguous arrays.  The end of one step is
 the start of the next, so n steps sample the stiffness at 2n + 1 half-step
-points.  Trajectories and ramps need the state after every step: a scan in
-chunks of _WIDTH steps gives it for a block of _BLOCK steps in work linear
-in the step count, and they check for escape per block.  The monodromy
+points.  Trajectories and ramps need the state after every step, and both
+run through one block propagator: per block of _BLOCK steps the caller
+writes its stiffness samples into a monomial buffer reused for the whole
+call, one matrix product forms the entries into a reused entry buffer, a
+scan in chunks of _WIDTH steps gives the state after every step in work
+linear in the step count, and the run stops after the block in which a
+coordinate first crosses the escape radius.  The trajectory adds only its
+sampling rule, the ramp only its chirped drive phase.  The monodromy
 needs only the product of its steps, taken pairwise; the Mathieu
 coefficient is even, so it carries the two fundamental solutions over half
 a period only, and its drive cosines depend on the step count alone, so
@@ -261,61 +266,28 @@ def _fill_monomials(m: np.ndarray) -> np.ndarray:
     return m
 
 
-def _rk4_transfer(k0, kh, k1, gamma: float, h: float, forced: bool = True) -> np.ndarray:
-    """Per-step RK4 transfer entries of u'' = -k(t) u - gamma u' + f.
-
-    k0, kh and k1 hold the stiffness at the start, midpoint and end of each
-    step.  Returns the entries as a (2, 3) + k0.shape array, rows (u, u'),
-    columns (u, u', f), as _rk4_table orders them; without ``forced`` the
-    affine column is left out, (2, 2) + k0.shape.
-    """
-    m = _monomials(k0, kh, k1)
-    entries = _rk4_table(gamma, h, forced) @ m.reshape(7, -1)
-    return entries.reshape((2, -1) + m.shape[1:])
-
-
-def _scan_shapes(n: int, cols: int, k: int):
-    """Shapes of _scan's buffers for n steps, cols matrix columns and k state columns."""
-    chunks = -(-n // _WIDTH)
-    # the prefix products (position within the chunk, row, column, chunk), one
-    # step of their scan, and the (u, u', f) entering each chunk
-    return (_WIDTH, 2, cols, chunks), (2, 2, cols, chunks), (cols, k, chunks)
-
-
-def _scan_size(n: int, cols: int, k: int) -> int:
-    """Floats that _scan's buffers take for n steps, its scan of the chunk totals included."""
-    chunks = -(-n // _WIDTH)
-    size = sum(math.prod(shape) for shape in _scan_shapes(n, cols, k))
-    return size + (_scan_size(chunks - 1, cols, k) if chunks > 1 else 0)
-
-
-def _scan(m, u0, v0, f=None, work=None):
+def _scan(m, u0, v0, f=None):
     """Prefix products of the step matrices m within chunks of _WIDTH steps,
     and the states entering the chunks, from (u0, v0).
 
-    m is the (2, cols, n) array of the n step matrices' entries, as
-    _rk4_transfer returns them (the affine column c = 2 is read only with
-    f); u0, v0 and the constant accelerations f (None: no forcing) are k
-    columns that share those steps.  Returns p, axes (position within the
-    chunk, row, column, chunk), whose position j holds the product of the
-    chunk's steps 0 .. j (identity steps pad the last chunk), and the
-    (cols, k, chunk) (u, u', f) entering each chunk.  Both are views into
-    ``work``, a buffer of at least _scan_size(n, cols, k) floats (allocated
-    when None).  One pass over the positions forms every chunk's prefix
-    products, elementwise over the chunks; the states entering the chunks
-    come from the same scan over the chunk totals.
+    m is the (2, cols, n) array of the n step matrices' entries, rows (u, u')
+    and columns (u, u', f) as _rk4_table orders them (the affine column
+    c = 2 is read only with f); u0, v0 and the constant accelerations f
+    (None: no forcing) are k columns that share those steps.  Returns p,
+    axes (position within the chunk, row, column, chunk), whose position j
+    holds the product of the chunk's steps 0 .. j (identity steps pad the
+    last chunk), and the (cols, k, chunk) (u, u', f) entering each chunk.
+    One pass over the positions forms every chunk's prefix products,
+    elementwise over the chunks; the states entering the chunks come from
+    the same scan over the chunk totals.
     """
     cols = 2 if f is None else 3  # the affine column carries f
     n, k = m.shape[-1], len(u0)
-    if work is None:
-        work = np.empty(_scan_size(n, cols, k))
-    views, at = [], 0
-    for shape in _scan_shapes(n, cols, k):
-        views.append(work[at:at + math.prod(shape)].reshape(shape))
-        at += math.prod(shape)
-    p, prod, entry = views
-    chunks = p.shape[-1]
     full, rest = divmod(n, _WIDTH)
+    chunks = -(-n // _WIDTH)
+    p = np.empty((_WIDTH, 2, cols, chunks))
+    prod = np.empty((2, 2, cols, chunks))  # one step of the scan
+    entry = np.empty((cols, k, chunks))
     in_order = p.transpose(1, 2, 3, 0)  # rows, columns, then the steps in order
     in_order[:, :, :full] = m[:, :cols, :full * _WIDTH].reshape(2, cols, full, _WIDTH)
     if rest:  # identity steps fill the last chunk, so no uninitialized value enters a product
@@ -331,17 +303,53 @@ def _scan(m, u0, v0, f=None, work=None):
     if f is not None:
         entry[2] = f[:, None]
     if chunks > 1:  # the states after each chunk but the last
-        entry[:2, :, 1:] = _states(p[-1, :, :, :-1], u0, v0, f, work[at:]).transpose(1, 2, 0)
+        entry[:2, :, 1:] = _states(p[-1, :, :, :-1], u0, v0, f).transpose(1, 2, 0)
     return p, entry
 
 
-def _states(m, u0, v0, f=None, work=None) -> np.ndarray:
+def _states(m, u0, v0, f=None) -> np.ndarray:
     """(u, u') after every step of the transfer entries m, from (u0, v0):
     an (n, 2, k) array; the arguments are _scan's.  One product applies
     each chunk's prefixes to its entry state."""
-    p, entry = _scan(m, u0, v0, f, work)
+    p, entry = _scan(m, u0, v0, f)
     states = np.einsum("jrsc,skc->cjrk", p, entry)  # chunk, position, row, column
     return states.reshape(-1, 2, len(u0))[:m.shape[-1]]
+
+
+def _propagate(tables, groups, stiffness, state, accel, n_steps: int, esc: float):
+    """(u, u') after every step of n_steps RK4 steps from ``state``, block by block.
+
+    state is the (2, c) array of (u, u') in c columns, accel their constant
+    accelerations (None: no forcing), and ``groups`` are column slices that
+    share one stiffness each: tables stacks one _rk4_table per group, in
+    group order.  stiffness(k, n, out) writes the stiffness at the starts,
+    midpoints and ends of steps k .. k + n - 1 into out's three rows.
+    Yields (k, block, escaped) per block of at most _BLOCK steps, block row
+    i the (2, c) state after step k + 1 + i; the first block in which some
+    |u| exceeds esc ends at that step, is flagged escaped and is the last.
+    The monomial and entry buffers are reused by every block of the call.
+    """
+    size = min(_BLOCK, n_steps)
+    mono, entries = np.empty(7 * size), np.empty(len(tables) * size)
+    for k in range(0, n_steps, _BLOCK):
+        n = min(_BLOCK, n_steps - k)
+        m = mono[:7 * n].reshape(7, n)
+        stiffness(k, n, m[1:4])
+        transfer = np.matmul(tables, _fill_monomials(m),
+                             out=entries[:len(tables) * n].reshape(-1, n))
+        transfer = transfer.reshape(len(groups), 2, -1, n)
+        with np.errstate(over="ignore", invalid="ignore"):  # only kept states must be finite
+            block = [_states(t, *state[:, cols], None if accel is None else accel[cols])
+                     for t, cols in zip(transfer, groups)]
+            block = block[0] if len(block) == 1 else np.concatenate(block, axis=2)
+        u = np.abs(block[:, 0]).ravel()
+        if not u.max() <= esc:  # an escape, or a nan that may follow one
+            out = np.flatnonzero(u > esc)
+            if out.size:
+                yield k, block[:out[0] // state.shape[1] + 1], True
+                return
+        yield k, block, False
+        state = block[-1].copy()  # a copy, so that the block is freed
 
 
 def _product(m) -> np.ndarray:
@@ -379,10 +387,11 @@ def floquet_stability(a: float, q: float) -> FloquetResult:
 
     def trace_for(n: int) -> float:
         basis = np.eye(2)  # columns: the two fundamental solutions
+        table = _rk4_table(0.0, math.pi / n, forced=False)
         for k in range(0, n // 2, _BLOCK):
             c = a - 2.0 * q * _drive_cosines(n, k)  # at the step ends and midpoints
-            basis = _product(_rk4_transfer(c[0:-1:2], c[1::2], c[2::2], 0.0, math.pi / n,
-                                           forced=False)) @ basis
+            m = table @ _monomials(c[0:-1:2], c[1::2], c[2::2])
+            basis = _product(m.reshape(2, 2, -1)) @ basis
         (y1, y2), (dy1, dy2) = basis
         return float(2.0 * (y1 * dy2 + dy1 * y2))
 
@@ -504,6 +513,11 @@ def integrate_motion(trap: TrapConfig, p: Particle,
     # gives the radial and the axial entries
     table = _rk4_table(trap.damping_gamma, dt, forced=accel is not None)
     tables = np.concatenate([table * (-0.5) ** _DEGREE, table])
+
+    def stiffness(k, n, out):  # the z stiffness at the step ends and midpoints
+        c = cd * np.cos(om * (np.arange(2 * k, 2 * (k + n) + 1) * (0.5 * dt)))
+        out[0], out[1], out[2] = c[0:-1:2], c[1::2], c[2::2]
+
     # axes: sample, (position, velocity), (x, y, z); a sample every store_every
     # steps, at the last step and at an escape
     steps = np.zeros(1 + -(-n_steps // store_every), dtype=np.int64)
@@ -512,34 +526,24 @@ def integrate_motion(trap: TrapConfig, p: Particle,
     stored = 1
     escape_step = None
 
-    for k in range(0, n_steps, _BLOCK):
-        n = min(_BLOCK, n_steps - k)
-        # the z stiffness at the step ends and midpoints
-        c = cd * np.cos(om * (np.arange(2 * k, 2 * (k + n) + 1) * (0.5 * dt)))
-        radial, axial = (tables @ _monomials(c[0:-1:2], c[1::2], c[2::2])).reshape(2, 2, -1, n)
-        with np.errstate(over="ignore", invalid="ignore"):  # only kept states must be finite
-            block = np.concatenate(
-                [_states(m, *state[:, cols], None if accel is None else accel[cols])
-                 for m, cols in ((radial, slice(0, 2)), (axial, slice(2, 3)))], axis=2)
+    for k, block, escaped in _propagate(tables, (slice(0, 2), slice(2, 3)), stiffness,
+                                        state, accel, n_steps, esc):
         # block row i is step k + 1 + i; store the steps on the store_every grid
-        # before the block's last step or the first escaping one, then that step
-        # if it is on the grid, the run's last step or an escape
-        out = np.flatnonzero(np.abs(block[:, 0]).ravel() > esc)
-        last = n - 1 if out.size == 0 else int(out[0]) // 3
+        # before the block's last step, then that step if it is on the grid,
+        # the run's last step or an escape
+        last = len(block) - 1
         first = -(k + 1) % store_every
         start = stored
         stored += len(range(first, last, store_every))
         steps[start:stored] = np.arange(k + 1 + first, k + 1 + last, store_every)
         states[start:stored] = block[first:last:store_every]
-        if out.size or k + n == n_steps or (k + 1 + last) % store_every == 0:
+        if escaped or k + 1 + last == n_steps or (k + 1 + last) % store_every == 0:
             steps[stored], states[stored] = k + 1 + last, block[last]
             stored += 1
         if not np.all(np.isfinite(states[start:stored])):
             raise FloatingPointError("the motion overflowed before it crossed the escape radius")
-        if out.size:
+        if escaped:
             escape_step = k + 1 + last
-            break
-        state = block[-1].copy()  # a copy, so that the block is freed
 
     return Trajectory(t=steps[:stored] * dt, positions=states[:stored, 0],
                       velocities=states[:stored, 1], escaped=escape_step is not None,
@@ -558,7 +562,8 @@ def frequency_ramp_instability(trap: TrapConfig, p: Particle,
     systematic lag from the finite growth time of the instability; slower
     ramps shrink it.  A warning is emitted when Omega changes by more than 1%
     per secular period.  A ramp longer than 1e8 steps, and a seed displacement
-    not inside the escape radius, are rejected.  An escape at a drive that the
+    that is 0 (the motion would stay at rest, a false stable verdict) or not
+    inside the escape radius, are rejected.  An escape at a drive that the
     monodromy still finds stable (a seed whose micromotion alone reaches the
     escape radius) raises PhysicsError.
     """
@@ -581,9 +586,9 @@ def frequency_ramp_instability(trap: TrapConfig, p: Particle,
     esc = ESCAPE_RADIUS_FACTOR * trap.z0
     if seed_displacement is None:
         seed_displacement = 0.5 * trap.z0
-    elif not abs(seed_displacement) < esc:  # it would escape on the first step
-        raise ValueError(f"seed displacement {seed_displacement:g} m must lie inside the "
-                         f"escape radius {esc:g} m")
+    elif not 0.0 < abs(seed_displacement) < esc:  # 0 stays at rest; esc escapes at once
+        raise ValueError(f"seed displacement {seed_displacement:g} m must be nonzero and lie "
+                         f"inside the escape radius {esc:g} m")
 
     wz0 = secular_frequency(replace(trap, drive_freq=omega_start), p)
     t_sec = 2.0 * math.pi / wz0
@@ -591,59 +596,31 @@ def frequency_ramp_instability(trap: TrapConfig, p: Particle,
         warnings.warn("ramp changes the drive by more than 1% per secular period; "
                       "the detected instability frequency will lag", stacklevel=2)
 
-    state = np.array([[seed_displacement], [0.0]])  # rows (u, u'), one column
-    n_steps = math.ceil(steps)
-    table = _rk4_table(trap.damping_gamma, dt, forced=False)
-    # every block fills the same buffers: the step count within the block, then
-    # for the block's steps and the next, dt j and the drive phase at their
-    # starts, a scratch array, the monomials, the entries and the scan's
-    count = np.arange(_BLOCK + 1.0)
-    dtj, phase, tmp = np.empty((3, _BLOCK + 1))
-    mono, entries = np.empty(7 * _BLOCK), np.empty(4 * _BLOCK)
-    work = np.empty(_scan_size(_BLOCK, 2, 1))
+    def stiffness(k, n, out):
+        # the drive phase at the start of step j, the left sum over steps
+        # 0 .. j - 1: dt j (omega_start - ramp_rate dt (j - 1) / 2); the end
+        # of step j is the start of step j + 1, and the midpoint adds
+        # dt / 2 (omega_start - ramp_rate dt j)
+        j = np.arange(k, k + n + 1.0)
+        dtj = j * dt
+        phase = dtj * (omega_start - (j - 1.0) * (ramp_rate * dt) / 2.0)
+        mid = np.cos((omega_start - dtj[:n] * ramp_rate) * (0.5 * dt) + phase[:n])
+        drive = np.cos(phase, out=phase)
+        np.multiply(drive[:n], k_acc, out=out[0])
+        np.multiply(mid, k_acc, out=out[1])
+        np.multiply(drive[1:], k_acc, out=out[2])
 
-    for k in range(0, n_steps, _BLOCK):
-        n = min(_BLOCK, n_steps - k)
-        # left-sum drive phase accumulated over steps 0 .. j-1, the phase at the
-        # start of step j, dt j (omega_start - ramp_rate dt (j - 1) / 2); the end
-        # of step j is the start of step j + 1
-        np.add(count[:n + 1], k, out=dtj[:n + 1])
-        dtj[:n + 1] *= dt
-        np.add(count[:n + 1], k - 1.0, out=tmp[:n + 1])
-        tmp[:n + 1] *= ramp_rate * dt
-        tmp[:n + 1] /= 2.0
-        np.subtract(omega_start, tmp[:n + 1], out=tmp[:n + 1])
-        np.multiply(dtj[:n + 1], tmp[:n + 1], out=phase[:n + 1])
-        # the midpoint adds dt / 2 (omega_start - ramp_rate dt j)
-        np.multiply(dtj[:n], ramp_rate, out=tmp[:n])
-        np.subtract(omega_start, tmp[:n], out=tmp[:n])
-        tmp[:n] *= 0.5 * dt
-        tmp[:n] += phase[:n]
-        # the stiffness at the starts, the midpoints and the ends, written to
-        # rows k0, kh and k1 of the monomials
-        m = mono[:7 * n].reshape(7, n)
-        np.cos(phase[:n + 1], out=phase[:n + 1])
-        np.multiply(phase[:n], k_acc, out=m[1])
-        np.multiply(phase[1:n + 1], k_acc, out=m[3])
-        np.cos(tmp[:n], out=m[2])
-        m[2] *= k_acc
-        transfer = np.matmul(table, _fill_monomials(m), out=entries[:4 * n].reshape(4, n))
-        prefix, entry = _scan(transfer.reshape(2, 2, n), state[0], state[1], work=work)
-        # |u| after every step, axes (position, chunk), into the free buffers;
-        # the identity steps that pad the last chunk repeat its last state
-        shape = prefix.shape[0], prefix.shape[-1]
-        u = np.multiply(prefix[:, 0, 0], entry[0, 0], out=dtj[:math.prod(shape)].reshape(shape))
-        u += np.multiply(prefix[:, 0, 1], entry[1, 0], out=tmp[:u.size].reshape(shape))
-        if np.abs(u, out=u).max() > esc:
-            first = np.flatnonzero(u.T > esc)[0]  # in step order
-            omega = float(omega_start - ramp_rate * ((k + first + 1) * dt))
+    table = _rk4_table(trap.damping_gamma, dt, forced=False)
+    for k, block, escaped in _propagate(table, (slice(0, 1),), stiffness,
+                                        np.array([[seed_displacement], [0.0]]), None,
+                                        math.ceil(steps), esc):
+        if escaped:
+            omega = float(omega_start - ramp_rate * ((k + len(block)) * dt))
             q = mathieu_q(replace(trap, drive_freq=omega), p)
             if floquet_stability(0.0, q).stable:  # carried out by the seed, not the drive
                 raise PhysicsError(f"the motion crossed the escape radius at q = {q:.4g}, "
                                    f"where the drive is still stable")
             return omega
-        chunk, position = divmod(n - 1, _WIDTH)
-        state = prefix[position, :, :, chunk] @ entry[:, :, chunk]
 
     raise PhysicsError("stable over full ramp: no instability detected")
 

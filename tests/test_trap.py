@@ -320,7 +320,7 @@ class TestFrequencyRamp:
             frequency_ramp_instability(trap, p, om_start, 0.93 * om_start,
                                        ramp_rate=3e4)
 
-    @pytest.mark.parametrize("seed_factor", [100.0, -100.0, 200.0, math.nan])
+    @pytest.mark.parametrize("seed_factor", [100.0, -100.0, 200.0, math.nan, 0.0])
     def test_ramp_seed_outside_escape_radius_rejected(self, seed_factor):
         trap = reference_trap()
         with pytest.raises(ValueError, match="inside the escape radius"):
@@ -425,6 +425,7 @@ class TestPropagatorOracle:
         (1, 1),
         (trap_module._BLOCK - 3, 1),
         (2 * trap_module._BLOCK + 13, 7),  # samples straddle both block edges
+        (2 * trap_module._BLOCK + 13, trap_module._BLOCK + 5),  # a block with no sample
     ])
     def test_motion_matches_per_step_rk4(self, n_steps, store_every):
         dt = 1e-6
@@ -476,10 +477,13 @@ class TestPropagatorOracle:
     # a negative charge is defocused at drive phase 0, so a seed just inside
     # the escape radius leaves on the first step; that ramp starts at q = 0.95,
     # past the stability edge, since an escape where the drive is still stable
-    # is rejected
-    @pytest.mark.parametrize("seed_factor,first_step,charge_e",
-                             [(0.5, False, 5000.0), (99.99, True, -5000.0)])
-    def test_ramp_matches_per_step_rk4(self, seed_factor, first_step, charge_e):
+    # is rejected; ramp_steps (None: down to half the start) sets a ramp
+    # shorter than one chunk of the scan
+    @pytest.mark.parametrize("seed_factor,first_step,charge_e,ramp_steps",
+                             [(0.5, False, 5000.0, None), (99.99, True, -5000.0, None),
+                              (99.99, True, -5000.0, 5.5)],
+                             ids=["0.5-False-5000.0", "99.99-True--5000.0", "short-ramp"])
+    def test_ramp_matches_per_step_rk4(self, seed_factor, first_step, charge_e, ramp_steps):
         p = reference_particle(charge_e)
         trap = reference_trap(gamma=20.0)
         q_start = 0.95 if first_step else 0.75
@@ -487,13 +491,17 @@ class TestPropagatorOracle:
                              / (particle_mass(p) * q_start * trap.z0 ** 2))
         t_sec = TWO_PI / secular_frequency(replace(trap, drive_freq=om_start), p)
         rate = 0.005 * om_start / t_sec
+        om_end = 0.5 * om_start
+        if ramp_steps is not None:
+            dt = 2.0 * math.pi / (trap_module.MIN_STEPS_PER_DRIVE_PERIOD * om_start)
+            om_end = om_start - ramp_steps * rate * dt
+            assert math.ceil((om_start - om_end) / rate / dt) < trap_module._WIDTH
         seed = seed_factor * trap.z0
-        om_ref, escape_step = self.ramp_reference(trap, p, om_start, 0.5 * om_start, rate,
-                                                  seed)
+        om_ref, escape_step = self.ramp_reference(trap, p, om_start, om_end, rate, seed)
         assert (escape_step == 1) == first_step
         if not first_step:  # the escape lies past a block edge, off the chunk grid
             assert escape_step > trap_module._BLOCK
-        om = frequency_ramp_instability(trap, p, om_start, 0.5 * om_start, rate,
+        om = frequency_ramp_instability(trap, p, om_start, om_end, rate,
                                         seed_displacement=seed)
         assert om == om_ref
 
@@ -565,7 +573,8 @@ def stage_transfer(k0, kh, k1, gamma, h):
 def test_closed_form_transfer_matches_stage_composition(gamma, batch, h, scale):
     # the trajectory scale (dt = 1 us, stiffness ~ (2 pi kHz)^2) and the Floquet scale
     k0, kh, k1 = scale * np.random.default_rng(7).standard_normal((3, 64) + batch)
-    out = np.array(trap_module._rk4_transfer(k0, kh, k1, gamma, h))
+    m = trap_module._monomials(k0, kh, k1).reshape(7, -1)
+    out = (trap_module._rk4_table(gamma, h, True) @ m).reshape((2, 3, 64) + batch)
     ref = stage_transfer(k0, kh, k1, gamma, h)
     assert ref.shape == (64,) + batch + (3, 3)
     np.testing.assert_array_equal(ref[..., 2, :], np.broadcast_to((0.0, 0.0, 1.0), ref.shape[:-1]))
@@ -579,9 +588,9 @@ def test_closed_form_transfer_matches_stage_composition(gamma, batch, h, scale):
 @pytest.mark.parametrize("h,scale", [(1e-6, 1e9), (math.pi / 1024, 3.0)])
 def test_unforced_entries_are_the_forced_homogeneous_entries(gamma, batch, h, scale):
     k0, kh, k1 = scale * np.random.default_rng(8).standard_normal((3, 64) + batch)
-    forced = trap_module._rk4_transfer(k0, kh, k1, gamma, h)
-    unforced = trap_module._rk4_transfer(k0, kh, k1, gamma, h, forced=False)
-    assert unforced.shape == (2, 2, 64) + batch
+    m = trap_module._monomials(k0, kh, k1).reshape(7, -1)
+    forced = (trap_module._rk4_table(gamma, h, True) @ m).reshape((2, 3, 64) + batch)
+    unforced = (trap_module._rk4_table(gamma, h, False) @ m).reshape((2, 2, 64) + batch)
     np.testing.assert_array_equal(unforced, forced[:, :2])
 
 
